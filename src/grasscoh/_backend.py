@@ -1,20 +1,9 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
-
-Set GRASSCOH_PURE_PYTHON=1 to force the fallback.  `set_kernel` exists for
-benchmarks; it clears every cache that may hold kernel-derived values.
-"""
-
-import os
+"""The pure-Python kernel and the registry of package memos."""
 
 from . import _kernel_py
 
-if os.environ.get("GRASSCOH_PURE_PYTHON"):
-    kernel = _kernel_py
-else:
-    try:
-        from . import _kernel_cy as kernel  # type: ignore[no-redef]
-    except ImportError:
-        kernel = _kernel_py
+# perfbench/tracer.py wraps the kernel.* layers through this binding.
+kernel = _kernel_py
 
 _cache_clearers = []
 
@@ -29,13 +18,7 @@ def clear_caches():
         fn()
 
 
-def set_kernel(mod):
-    """Swap the active kernel (benchmark use); returns the previous one."""
-    global kernel
-    prev = kernel
-    kernel = mod
-    clear_caches()
-    return prev
+register_cache(kernel.vertical_strips.cache_clear)
 
 
 def backend_name() -> str:

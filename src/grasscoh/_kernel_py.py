@@ -1,8 +1,6 @@
-"""Pure-Python kernels for the hot inner loops.
+"""Pure-Python kernels for the hot inner loops."""
 
-Same contract as the compiled module `_kernel_cy`; `_backend` picks one
-at import time.
-"""
+from functools import lru_cache
 
 NAME = "python"
 
@@ -30,13 +28,15 @@ def expvecs_of_weight(w, k):
     return out
 
 
+@lru_cache(maxsize=None)
 def vertical_strips(parts, size, max_rows, max_part):
     """Partitions obtained from `parts` by adding a vertical strip of
     `size` boxes (at most one box per row), pruned to the
-    max_rows x max_part box.  Deterministic order."""
+    max_rows x max_part box.  Deterministic order.  Memoised, so the
+    result is a shared tuple."""
     nrows = len(parts)
     if nrows > max_rows:
-        return []
+        return ()
     lam = list(parts) + [0] * (max_rows - nrows)
     out = []
     mu = [0] * max_rows
@@ -61,6 +61,6 @@ def vertical_strips(parts, size, max_rows, max_part):
         rec(row + 1, left, lam[row])
 
     if parts and parts[0] > max_part:
-        return []
+        return ()
     rec(0, size, max_part)
-    return out
+    return tuple(out)

@@ -7,11 +7,13 @@ Grammar (LL(1), whitespace insensitive):
     term   := factor ('*' factor)*
     factor := atom ('^' nat)?
     atom   := rational | 'c' nat | 'cbar' '(' nat ')'
-            | 'sigma' '[' nat (',' nat)* ']' | '(' expr ')' | '-' atom
+            | 'sigma' '[' (nat (',' nat)*)? ']' | '(' expr ')' | '-' atom
     rational := nat ('/' nat)?
 
-Generator indices are validated at evaluation time, not parse time, so a
-parsed expression can be evaluated in several contexts.
+`sigma[]` is the empty partition, the unit class, so every line that
+`eval` prints parses again.  Generator indices are validated at
+evaluation time, not parse time, so a parsed expression can be
+evaluated in several contexts.
 """
 
 from __future__ import annotations
@@ -205,10 +207,12 @@ class _Parser:
                 return DualGen(idx)
             # sigma
             self.expect("[", "'['")
-            parts = [self.expect("NAT", "natural number")[1]]
-            while self.peek()[0] == ",":
-                self.advance()
+            parts = []
+            if self.peek()[0] != "]":
                 parts.append(self.expect("NAT", "natural number")[1])
+                while self.peek()[0] == ",":
+                    self.advance()
+                    parts.append(self.expect("NAT", "natural number")[1])
             self.expect("]", "']'")
             return SchurGen(tuple(parts))
         if kind == "(":

@@ -54,10 +54,6 @@ class FreeClass:
         return cls(k, {(0,) * k: Fraction(1)})
 
     @classmethod
-    def constant(cls, k, value):
-        return cls(k, {(0,) * k: Fraction(value)})
-
-    @classmethod
     def generator(cls, k, i):
         """The generator c_i."""
         if not 1 <= i <= k:

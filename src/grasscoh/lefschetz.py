@@ -15,19 +15,6 @@ from .partitions import betti_numbers
 from .ring import GrassElement, RingContext
 
 
-@dataclass(frozen=True)
-class AdamsEndo:
-    """The graded ring endomorphism acting on H^{2i} as multiplication by
-    degree^i."""
-    degree: int
-
-    def apply(self, x: GrassElement) -> GrassElement:
-        return apply_adams(x, self.degree)
-
-    def lefschetz_number(self, ctx: RingContext) -> int:
-        return lefschetz_number(self.degree, ctx)
-
-
 def apply_adams(x: GrassElement, m: int) -> GrassElement:
     out = GrassElement.zero(x.context)
     for q in x.free.weights():

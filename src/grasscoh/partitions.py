@@ -39,12 +39,6 @@ def exponent_vectors_of_weight(w: int, k: int):
     return _backend.kernel.expvecs_of_weight(w, k)
 
 
-def is_partition(parts) -> bool:
-    if any(p < 1 for p in parts):
-        return False
-    return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
-
-
 def conjugate(parts):
     """Transpose of the Young diagram."""
     if not parts:
@@ -93,6 +87,9 @@ def count_in_box(i: int, k: int, n: int) -> int:
     if i < 0 or k == 0:
         return 0
     return sum(count_in_box(i - p, k - 1, p) for p in range(1, min(n, i) + 1))
+
+
+_backend.register_cache(count_in_box.cache_clear)
 
 
 def betti_numbers(k: int, n: int):

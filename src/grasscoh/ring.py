@@ -279,10 +279,6 @@ class GrassElement:
         return f"GrassElement({self.context}, {str(self.free)!r})"
 
 
-def cup(x: GrassElement, y: GrassElement) -> GrassElement:
-    return x.cup(y)
-
-
 def giambelli(lam, k: int) -> FreeClass:
     """Free-ring lift of sigma_lam by the dual Jacobi-Trudi determinant
     det(c_{lam'_i - i + j}) over the conjugate partition."""

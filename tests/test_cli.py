@@ -30,6 +30,11 @@ class TestEval:
         code, _ = run(["eval", "--k", "2", "--n", "5", "c3"])
         assert code == 2
 
+    def test_unit_output_evaluates(self):
+        unit = run(["eval", "--k", "2", "--n", "3", "sigma[2,1]^0"])
+        assert unit == (0, "1\n= 1*sigma[]\n")
+        assert run(["eval", "--k", "2", "--n", "3", "1*sigma[]"]) == unit
+
 
 class TestDual:
     def test_both_match(self):

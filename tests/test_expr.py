@@ -22,6 +22,10 @@ class TestParse:
     def test_sigma(self):
         assert parse("sigma[3,1]") == SchurGen((3, 1))
 
+    def test_empty_sigma(self):
+        assert parse("sigma[ ]") == SchurGen(())
+        assert render_as_source(SchurGen(())) == "sigma[]"
+
     def test_rational(self):
         assert parse("2/3") == RationalLiteral(Fraction(2, 3))
         assert parse("7") == RationalLiteral(Fraction(7))
@@ -112,6 +116,15 @@ class TestRender:
         free_line, schur_line = render(x, "text").split("\n")
         assert eval_expr(parse(free_line), ctx) == x
         assert eval_expr(parse(schur_line.lstrip("= ")), ctx) == x
+
+    def test_unit_lines_parse_back(self):
+        ctx = RingContext(2, 3)
+        x = eval_expr(parse("sigma[2,1]^0"), ctx)
+        text = render(x, "text")
+        assert text == "1\n= 1*sigma[]"
+        free_line, schur_line = text.split("\n")
+        for line in (free_line, schur_line.removeprefix("= ")):
+            assert eval_expr(parse(line), ctx).reduced == x.reduced
 
 
 # random well-formed ASTs; compound children are always parenthesized so
