@@ -336,6 +336,8 @@ def run_cli(argv, out=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit as exc:  # argparse exits after printing -h/--help
+        return exc.code or EXIT_OK
 
 
 def main() -> None:

@@ -250,14 +250,11 @@ def eval_expr(node, ctx: RingContext) -> GrassElement:
         parts = node.partition
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)) or \
-                any(p < 1 for p in parts):
-            raise EvalError(f"sigma index {list(node.partition)} is not a "
-                            "partition")
-        if len(parts) > k or (parts and parts[0] > ctx.n):
-            raise EvalError(f"partition {list(parts)} outside the "
-                            f"{k}x{ctx.n} box")
-        return GrassElement.from_schur(ctx, SchurClass(ctx, {parts: 1}))
+        try:
+            schur = SchurClass(ctx, {parts: 1})
+        except ValueError as exc:
+            raise EvalError(str(exc)) from None
+        return GrassElement.from_schur(ctx, schur)
     if isinstance(node, Add):
         return eval_expr(node.left, ctx) + eval_expr(node.right, ctx)
     if isinstance(node, Sub):

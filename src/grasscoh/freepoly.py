@@ -220,6 +220,9 @@ def dual_class_recursive(j: int, k: int) -> FreeClass:
     recursion cbar_j = -sum_i c_i * cbar_{j-i}."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    # fill the memo bottom-up, so no call recurses more than one level
+    for d in range(j):
+        _dual_recursive(d, k)
     return _dual_recursive(j, k)
 
 

@@ -269,32 +269,6 @@ def _case2iv_single(l: int) -> dict:
             "candidates_examined": tried, "solutions": solutions}
 
 
-def case2iii_check(l_max: int) -> Certificate:
-    """Infeasibility sweep over all even l in [1, l_max]."""
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
-    logs = [_case2iii_single(l) for l in range(2, l_max + 1, 2)]
-    total = sum(len(entry["solutions"]) for entry in logs)
-    return Certificate(
-        CASE2III, 4, 3 * l_max + 4,
-        search_log={"l_max": l_max, "per_l": logs, "solutions_found": total},
-        assumptions=[ASSUME_ADAMS, ASSUME_LEADING_COEFFS_ONE],
-    )
-
-
-def case2iv_check(l_max: int) -> Certificate:
-    """Infeasibility sweep over all odd l in [1, l_max]."""
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
-    logs = [_case2iv_single(l) for l in range(1, l_max + 1, 2)]
-    total = sum(len(entry["solutions"]) for entry in logs)
-    return Certificate(
-        CASE2IV, 4, 3 * l_max + 4,
-        search_log={"l_max": l_max, "per_l": logs, "solutions_found": total},
-        assumptions=[ASSUME_ADAMS, ASSUME_LEADING_COEFFS_ONE],
-    )
-
-
 def nontrivial_intersection_report(k: int, n: int) -> Certificate:
     """Dispatch (k,n) to its case and produce the supporting certificate."""
     tag = dispatch_case(k, n)

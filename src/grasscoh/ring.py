@@ -1,10 +1,13 @@
 """The quotient ring H*(G(k,n); Q) in its Schur basis.
 
-Reduction from the free polynomial ring is by iterated Pieri expansion
-from the empty partition, with two separate prunes: partitions with more
-than k rows vanish already in k variables, partitions with a part larger
-than n vanish in the quotient.  The ideal relations are then a testable
-consequence, not an implementation input.
+One Pieri action, `act(p, s)`, carries both reduction and product: each
+monomial c^alpha of p acts on sigma_lam by iterated vertical strips, with
+two separate prunes: partitions with more than k rows vanish already in
+k variables, partitions with a part larger than n vanish in the
+quotient.  `reduce_free(p)` is p acting on sigma_(), and `schur_mul(a, b)`
+is the Giambelli lift of a acting on b.  The chains and the lifts are
+memoised.  The ideal relations are then a testable consequence, not an
+implementation input.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import lru_cache
 
 from . import _backend
 from .freepoly import AmbientMismatch, FreeClass
-from .partitions import conjugate, weight
+from .partitions import conjugate
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,9 @@ class ContextMismatch(ValueError):
 
 
 class SchurClass:
-    """Finitely supported map from box partitions to Fraction coefficients."""
+    """Finitely supported map from box partitions to Fraction coefficients.
+    A key that is not a partition (weakly decreasing positive parts) or
+    leaves the box raises ValueError."""
 
     __slots__ = ("context", "terms")
 
@@ -53,8 +58,11 @@ class SchurClass:
         if terms:
             for lam, c in terms.items():
                 lam = tuple(lam)
+                if any(a < b for a, b in zip(lam, lam[1:])) or \
+                        (lam and lam[-1] < 1):
+                    raise ValueError(f"{list(lam)} is not a partition")
                 if len(lam) > context.k or (lam and lam[0] > context.n):
-                    raise ValueError(f"partition {lam} outside the "
+                    raise ValueError(f"partition {list(lam)} outside the "
                                      f"{context.k}x{context.n} box")
                 c = Fraction(c)
                 if c:
@@ -132,47 +140,18 @@ class SchurClass:
         return f"SchurClass({self.context}, {str(self)!r})"
 
 
-def pieri_e(s: SchurClass, i: int) -> SchurClass:
-    """Multiply by c_i = sigma_{1^i}: add vertical strips of size i.
-
-    Two prunes happen here with different standing: partitions with more
-    than k rows vanish as symmetric functions in k variables, partitions
-    with a part exceeding n vanish by the quotient relation.  The
-    row-only variant lives in `pieri_strips` for tests.
-    """
-    ctx = s.context
-    if not 1 <= i <= ctx.k:
-        raise ValueError(f"Pieri index {i} out of range [1, {ctx.k}]")
-    terms = {}
-    for lam, c in s.terms.items():
-        for mu in _backend.kernel.vertical_strips(lam, i, ctx.k, ctx.n):
-            s2 = terms.get(mu, Fraction(0)) + c
-            if s2:
-                terms[mu] = s2
-            elif mu in terms:
-                del terms[mu]
-    return SchurClass(ctx, terms)
-
-
-def pieri_strips(lam, i: int, max_rows: int, max_part=None):
-    """Vertical strips of size i on one partition; max_part=None disables
-    the quotient prune (work in Lambda_k)."""
-    if max_part is None:
-        max_part = (lam[0] if lam else 0) + 1
-    return _backend.kernel.vertical_strips(tuple(lam), i, max_rows, max_part)
-
-
 @_backend.register_cache
-def _clear_reduce_cache():
+def _clear_ring_caches():
     _reduce_monomial.cache_clear()
+    _giambelli.cache_clear()
 
 
 @lru_cache(maxsize=None)
-def _reduce_monomial(alpha, k, n):
-    """Schur expansion of c^alpha in the k x n box, as a tuple of
-    (partition, integer multiplicity) pairs."""
+def _reduce_monomial(alpha, k, n, start=()):
+    """Schur expansion of c^alpha * sigma_start in the k x n box, as a
+    tuple of (partition, integer multiplicity) pairs."""
     strips = _backend.kernel.vertical_strips
-    current = {(): 1}
+    current = {start: 1}
     # process e_i factors in decreasing i: fewer intermediate terms
     for i in range(k, 0, -1):
         for _ in range(alpha[i - 1]):
@@ -181,22 +160,28 @@ def _reduce_monomial(alpha, k, n):
                 for mu in strips(lam, i, k, n):
                     nxt[mu] = nxt.get(mu, 0) + c
             current = nxt
-    return tuple(sorted(current.items()))
+    return tuple(current.items())
+
+
+def act(p: FreeClass, s: SchurClass) -> SchurClass:
+    """The image of p times s: p applied to s as Pieri operators, c_i
+    adding vertical strips of i boxes."""
+    ctx = s.context
+    if p.k != ctx.k:
+        raise AmbientMismatch(f"polynomial ambient {p.k} != context k {ctx.k}")
+    k, n = ctx.k, ctx.n
+    terms = {}
+    for lam, c in s.terms.items():
+        for alpha, coeff in p.terms.items():
+            coeff *= c
+            for mu, mult in _reduce_monomial(alpha, k, n, lam):
+                terms[mu] = terms.get(mu, 0) + coeff * mult
+    return SchurClass(ctx, terms)
 
 
 def reduce_free(p: FreeClass, ctx: RingContext) -> SchurClass:
     """Image of a free polynomial in the quotient ring."""
-    if p.k != ctx.k:
-        raise AmbientMismatch(f"polynomial ambient {p.k} != context k {ctx.k}")
-    terms = {}
-    for alpha, coeff in p.terms.items():
-        for lam, mult in _reduce_monomial(alpha, ctx.k, ctx.n):
-            s = terms.get(lam, Fraction(0)) + coeff * mult
-            if s:
-                terms[lam] = s
-            elif lam in terms:
-                del terms[lam]
-    return SchurClass(ctx, terms)
+    return act(p, SchurClass(ctx, {(): 1}))
 
 
 class GrassElement:
@@ -281,38 +266,45 @@ class GrassElement:
 
 def giambelli(lam, k: int) -> FreeClass:
     """Free-ring lift of sigma_lam by the dual Jacobi-Trudi determinant
-    det(c_{lam'_i - i + j}) over the conjugate partition."""
-    lam = tuple(lam)
+    det(c_{lam'_i - i + j}) over the conjugate partition.  Memoised, so
+    the result is shared."""
+    return _giambelli(tuple(lam), k)
+
+
+@lru_cache(maxsize=None)
+def _giambelli(lam, k):
     conj = conjugate(lam)
     if any(p > k for p in conj):
         raise ValueError(f"partition {lam} needs more than {k} rows")
     m = len(conj)
-    if m == 0:
-        return FreeClass.one(k)
 
-    def entry(i, j):  # 0-based
-        d = conj[i] - (i + 1) + (j + 1)
-        if d < 0 or d > k:
-            return FreeClass.zero(k)
-        if d == 0:
-            return FreeClass.one(k)
-        return FreeClass.generator(k, d)
+    def expansion(row, cols):
+        # nonzero entries c_d, d = conj[row] - row + j, of the first row of
+        # the minor on rows row.. and columns cols, with their cofactors
+        for pos, j in enumerate(cols):
+            d = conj[row] - row + j
+            if 0 <= d <= k:
+                yield pos, d, cols[:pos] + cols[pos + 1:]
 
-    return _det([[entry(i, j) for j in range(m)] for i in range(m)], k)
-
-
-def _det(mat, k):
-    m = len(mat)
-    if m == 1:
-        return mat[0][0]
-    acc = FreeClass.zero(k)
-    for j in range(m):
-        if mat[0][j].is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = mat[0][j] * _det(minor, k)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    # the column sets of the minors the expansion reaches, row by row;
+    # then their determinants from the last row up, each one computed once
+    levels = [{tuple(range(m))}]
+    for row in range(m - 1):
+        levels.append({rest for cols in levels[-1]
+                       for _, _, rest in expansion(row, cols)})
+    below = {(): FreeClass.one(k)}
+    for row in range(m - 1, -1, -1):
+        here = {}
+        for cols in levels[row]:
+            acc = FreeClass.zero(k)
+            for pos, d, rest in expansion(row, cols):
+                term = below[rest]
+                if d:
+                    term = FreeClass.generator(k, d) * term
+                acc = acc + term if pos % 2 == 0 else acc - term
+            here[cols] = acc
+        below = here
+    return below[tuple(range(m))]
 
 
 def integrate(x: GrassElement) -> Fraction:
@@ -326,17 +318,14 @@ def pairing(x: GrassElement, y: GrassElement) -> Fraction:
 
 
 def schur_mul(a: SchurClass, b: SchurClass) -> SchurClass:
-    """Product on canonical forms via Giambelli lift of one factor."""
+    """Product on canonical forms: the Giambelli lift of a acting on b."""
     if a.context != b.context:
         raise ContextMismatch(f"{a.context} != {b.context}")
     k = a.context.k
     free = FreeClass.zero(k)
     for lam, c in a.terms.items():
         free = free + giambelli(lam, k).scale(c)
-    out = SchurClass(a.context)
-    for lam, c in b.terms.items():
-        out = out + reduce_free(free * giambelli(lam, k), a.context).scale(c)
-    return out
+    return act(free, b)
 
 
 def complement(lam, k: int, n: int):

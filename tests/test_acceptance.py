@@ -15,7 +15,7 @@ import pytest
 from grasscoh.expr import ParseError, parse, render_as_source
 from grasscoh.freepoly import FreeClass, dual_class_closed, dual_class_recursive
 from grasscoh.lefschetz import lefschetz_number
-from grasscoh.obstruction import case2iii_check, case2iv_check, \
+from grasscoh.obstruction import _case2iii_single, _case2iv_single, \
     nontrivial_intersection_report
 from grasscoh.partitions import partitions_in_box
 from grasscoh.ring import GrassElement, RingContext, SchurClass, pairing, \
@@ -131,8 +131,9 @@ def test_criterion_7_case4_coefficient_magnitudes():
 
 def test_criterion_8_diophantine_infeasibility():
     start = time.monotonic()
-    assert case2iii_check(50).search_log["solutions_found"] == 0
-    assert case2iv_check(50).search_log["solutions_found"] == 0
+    for l in range(1, 51):
+        entry = _case2iii_single(l) if l % 2 == 0 else _case2iv_single(l)
+        assert entry["solutions"] == []
     elapsed = time.monotonic() - start
     assert elapsed < 5
     _report(8, "Case 2(iii)/(iv) systems infeasible for 1<=l<=50", elapsed)

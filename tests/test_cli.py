@@ -1,7 +1,11 @@
+import contextlib
 import io
 import json
 
+import pytest
+
 from grasscoh.cli import run_cli
+from grasscoh.ring import RingContext, SchurClass
 
 
 def run(argv):
@@ -133,3 +137,39 @@ def test_selftest_passes():
     code, out = run(["selftest"])
     assert code == 0
     assert "FAIL" not in out
+
+
+def run_checked(argv):
+    """Exit code and stdout of an in-process run; no traceback allowed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv, out=out)
+    assert "Traceback" not in err.getvalue() + out.getvalue()
+    return code, out.getvalue()
+
+
+class TestTotality:
+    def test_deep_recursive_dual(self):
+        code, out = run_checked(["dual", "--k", "1", "--i", "1500",
+                                 "--method", "both"])
+        assert code == 0
+        assert out.endswith("MATCH\n")
+
+    def test_long_sigma_row(self):
+        code, out = run_checked(["eval", "--k", "1", "--n", "1500",
+                                 "sigma[1500]"])
+        assert code == 0
+        assert out.endswith("\n= 1*sigma[1500]\n")
+
+    def test_sigma_not_partition(self):
+        with pytest.raises(ValueError):
+            SchurClass(RingContext(2, 3), {(1, 2): 1})
+        for expression in ("sigma[1,2]", "sigma[1,0,1]", "sigma[4]"):
+            code, out = run_checked(["eval", "--k", "2", "--n", "3", expression])
+            assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "-h"]])
+    def test_help_returns_zero(self, argv):
+        code, out = run_checked(argv)
+        assert code == 0
+        assert out.startswith("usage: grasscoh")

@@ -2,7 +2,8 @@
 
 `perfbench/golden.tsv` holds the exit code and the stdout digest of every
 benchmark job; the rows under MAX_COST_MS of recorded cost are replayed
-here.  `cli_cases.tsv` next to this file adds what that table lacks:
+here.  Its `product` rows, the digests of every `schur_mul` product of
+basis classes in the session rings, are all replayed.  `cli_cases.tsv` next to this file adds what that table lacks:
 error exits, `selftest`, and the json and csv formats.  Both files are
 read, never written.
 """
@@ -17,6 +18,7 @@ import pytest
 
 from grasscoh import cli, obstruction
 from grasscoh.freepoly import FreeClass
+from grasscoh.ring import RingContext, SchurClass, schur_mul
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE.parent / "perfbench" / "golden.tsv"
@@ -29,7 +31,11 @@ def run(argv):
     with contextlib.redirect_stderr(err):
         code = cli.run_cli(argv, out=out)
     assert "Traceback" not in err.getvalue()
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+    return code, digest(out.getvalue())
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def golden_rows():
@@ -60,6 +66,55 @@ def test_golden_cold_rows():
     rows = golden_rows()
     assert len(rows) == 1393
     assert_replay(rows)
+
+
+def box_basis(k, n):
+    """The k x n box partitions by size, then lexicographically descending:
+    the order of the digests in a product row."""
+    out = []
+
+    def rec(rem, rows, cap, prefix):
+        if rem == 0:
+            out.append(prefix)
+        elif rows:
+            for p in range(min(cap, rem), 0, -1):
+                rec(rem - p, rows - 1, p, prefix + (p,))
+
+    for size in range(k * n + 1):
+        rec(size, k, n, ())
+    return out
+
+
+def product_rows():
+    """(k, n, a, [(b, digest of str(schur_mul(a, b)))]) per product row."""
+    rows = []
+    for line in GOLDEN.read_text().splitlines():
+        fields = line.split("\t")
+        if fields[0] == "product":
+            k, n = (int(x) for x in fields[1].strip("G()").split(","))
+            inner = fields[2][len("sigma["):-1]
+            a = tuple(int(x) for x in inner.split(",")) if inner else ()
+            basis = box_basis(k, n)
+            rest = basis[basis.index(a):]
+            digs = fields[3].split(" ")
+            assert len(digs) == len(rest)
+            rows.append((k, n, a, list(zip(rest, digs))))
+    return rows
+
+
+def test_golden_products():
+    rows = product_rows()
+    assert len(rows) == 171
+    assert sum(len(pairs) for *_, pairs in rows) == 5116
+    mismatches = []
+    for k, n, a, pairs in rows:
+        ctx = RingContext(k, n)
+        sa = SchurClass(ctx, {a: 1})
+        for b, dig in pairs:
+            got = str(schur_mul(sa, SchurClass(ctx, {b: 1})))
+            if digest(got) != dig:
+                mismatches.append((k, n, a, b, got))
+    assert not mismatches, f"{len(mismatches)} of 5116: {mismatches[:5]}"
 
 
 def test_extra_cases():

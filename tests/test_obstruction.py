@@ -5,9 +5,9 @@ import pytest
 from grasscoh.freepoly import dual_class_closed
 from grasscoh.obstruction import (CASE1, CASE2I, CASE2II, CASE2III, CASE2IV,
                                   Certificate, HypothesisError,
+                                  _case2iii_single, _case2iv_single,
                                   case1_certificate, case2i_certificate,
-                                  case2ii_certificate, case2iii_check,
-                                  case2iv_check, dispatch_case,
+                                  case2ii_certificate, dispatch_case,
                                   nontrivial_intersection_report)
 from grasscoh.partitions import multinomial, size, weight
 
@@ -106,13 +106,15 @@ class TestCase2ii:
 
 class TestDiophantine:
     def test_case2iii_all_infeasible(self):
-        cert = case2iii_check(50)
-        assert cert.search_log["solutions_found"] == 0
-        assert len(cert.search_log["per_l"]) == 25
+        for l in range(2, 51, 2):
+            entry = _case2iii_single(l)
+            assert entry["magnitudes"] == {
+                "alpha*alpha'": 1, "alpha*beta": (l + 2) * (l + 1) // 2,
+                "theta*beta": l + 1}
+            assert entry["solutions"] == []
 
     def test_case2iii_l2_magnitudes(self):
-        cert = case2iii_check(2)
-        entry = cert.search_log["per_l"][0]
+        entry = _case2iii_single(2)
         assert entry["magnitudes"] == {"alpha*alpha'": 1, "alpha*beta": 6,
                                        "theta*beta": 3}
         assert entry["solutions"] == []
@@ -124,21 +126,23 @@ class TestDiophantine:
         assert b_tb % b_ab == 0
 
     def test_case2iv_all_infeasible(self):
-        cert = case2iv_check(49)
-        assert cert.search_log["solutions_found"] == 0
-        assert len(cert.search_log["per_l"]) == 25
+        for l in range(1, 50, 2):
+            entry = _case2iv_single(l)
+            assert entry["magnitudes"] == {
+                "alpha*alpha'": 3 * (l - 1) // 2 + 4,
+                "alpha*beta": (l + 2) * (l + 1) // 2,
+                "theta*beta": l + 1, "gamma*beta": l + 2}
+            assert entry["solutions"] == []
 
     def test_case2iv_l1_chain(self):
-        cert = case2iv_check(1)
-        entry = cert.search_log["per_l"][0]
+        entry = _case2iv_single(1)
         # beta = 1 forced; |alpha| = 3 would have to divide 3j+4 = 4
         assert entry["magnitudes"]["alpha*beta"] == 3
         assert entry["magnitudes"]["alpha*alpha'"] == 4
         assert entry["solutions"] == []
 
     def test_case2iv_l3(self):
-        cert = case2iv_check(3)
-        entry = cert.search_log["per_l"][1]
+        entry = _case2iv_single(3)
         assert entry["magnitudes"] == {"alpha*alpha'": 7, "alpha*beta": 10,
                                        "theta*beta": 4, "gamma*beta": 5}
         assert entry["solutions"] == []

@@ -1,4 +1,6 @@
+import importlib.util
 import sys
+from pathlib import Path
 
 import grasscoh
 import grasscoh.cli  # noqa: F401  (imports every module that holds a memo)
@@ -23,7 +25,8 @@ def test_clear_caches_empties_every_memo():
     reduce_free(dual_class_closed(6, 3), RingContext(3, 4))
     dual_class_recursive(5, 3)
     partitions.betti_numbers(3, 4)
-    named = {ring._reduce_monomial, freepoly._dual_recursive,
+    ring.giambelli((2, 1), 3)
+    named = {ring._reduce_monomial, ring._giambelli, freepoly._dual_recursive,
              freepoly._dual_closed, partitions.count_in_box,
              _backend.kernel.vertical_strips}
     memos = package_memos()
@@ -32,3 +35,23 @@ def test_clear_caches_empties_every_memo():
     grasscoh.clear_caches()
     assert {name: fn.cache_info().currsize for name, fn in memos.items()} == \
         dict.fromkeys(memos, 0)
+
+
+def load_tracer():
+    """perfbench/tracer.py, imported from its file and never modified."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_hooks_resolve():
+    # the benchmark's per-layer metrics read null for a name that is gone
+    tracer = load_tracer()
+    missing = [entry for entry in tracer.SPANNED + tracer.COUNTED
+               if not callable(tracer._resolve(*entry[1:])[1])]
+    assert not missing
+    memos = [(prefix, tracer._resolve(module, None, attr)[1])
+             for prefix, module, attr in tracer.MEMOS]
+    assert [prefix for prefix, fn in memos if not hasattr(fn, "cache_info")] == []

@@ -6,34 +6,39 @@ import pytest
 
 from grasscoh.freepoly import FreeClass, dual_class_closed, total_chern
 from grasscoh.partitions import partitions_in_box, weight
+from grasscoh import _backend
 from grasscoh.ring import (ContextMismatch, GrassElement, RingContext,
-                           SchurClass, complement, giambelli, integrate,
-                           pairing, pieri_e, pieri_strips, reduce_free,
-                           schur_mul)
+                           SchurClass, act, complement, giambelli, integrate,
+                           pairing, reduce_free, schur_mul)
 
 
 def sigma(ctx, lam):
     return SchurClass(ctx, {tuple(lam): 1})
 
 
+def pieri(s, i):
+    """Multiply by c_i = sigma_{1^i}."""
+    return act(FreeClass.generator(s.context.k, i), s)
+
+
 class TestPieri:
     def test_on_empty(self):
         ctx = RingContext(2, 2)
-        assert pieri_e(sigma(ctx, ()), 1) == sigma(ctx, (1,))
+        assert pieri(sigma(ctx, ()), 1) == sigma(ctx, (1,))
 
     def test_vertical_strips_of_one(self):
         ctx = RingContext(2, 2)
-        out = pieri_e(sigma(ctx, (1,)), 1)
+        out = pieri(sigma(ctx, (1,)), 1)
         assert out == SchurClass(ctx, {(2,): 1, (1, 1): 1})
 
     def test_row_prune(self):
         ctx = RingContext(1, 2)
-        assert pieri_e(sigma(ctx, (1,)), 1) == sigma(ctx, (2,))
+        assert pieri(sigma(ctx, (1,)), 1) == sigma(ctx, (2,))
 
     def test_index_out_of_range(self):
         ctx = RingContext(2, 3)
         with pytest.raises(ValueError):
-            pieri_e(sigma(ctx, ()), 3)
+            pieri(sigma(ctx, ()), 3)
 
     def test_against_monomial_symmetric_expansion(self):
         # multiply Schur polynomials in 2 variables by e_i and compare
@@ -51,7 +56,9 @@ class TestPieri:
                 (Fraction(-3), Fraction(7, 3))]
         for lam in [(), (1,), (2, 1), (3, 2)]:
             for i in (1, 2):
-                strips = pieri_strips(lam, i, 2)
+                # no quotient prune: the widest row may grow by one
+                strips = _backend.kernel.vertical_strips(
+                    lam, i, 2, (lam[0] if lam else 0) + 1)
                 for x, y in vals:
                     e_i = x + y if i == 1 else x * y
                     lhs = schur_poly2(lam, x, y) * e_i
@@ -84,7 +91,7 @@ class TestReduce:
             acc = sigma(ctx, ())
             for i in range(1, 4):
                 for _ in range(alpha[i - 1]):
-                    acc = pieri_e(acc, i)
+                    acc = pieri(acc, i)
             assert acc == expected
 
     def test_whitney_identity(self):
@@ -161,6 +168,13 @@ class TestGiambelli:
     def test_too_wide(self):
         with pytest.raises(ValueError):
             giambelli((1, 1, 1), 2)
+
+    def test_long_row(self):
+        ctx = RingContext(5, 15)
+        assert reduce_free(giambelli((15,), 5), ctx) == sigma(ctx, (15,))
+
+    def test_list_argument(self):
+        assert giambelli([2, 1], 3) is giambelli((2, 1), 3)
 
     def test_round_trip(self):
         for k in range(1, 6):
