@@ -11,9 +11,12 @@ Grammar (LL(1), whitespace insensitive):
     rational := nat ('/' nat)?
 
 `sigma[]` is the empty partition, the unit class, so every line that
-`eval` prints parses again.  Generator indices are validated at
-evaluation time, not parse time, so a parsed expression can be
-evaluated in several contexts.
+`eval` prints parses again.  At most MAX_NESTING levels of '(' and unary
+'-' may be open at once; deeper input is a ParseError at the offset of
+the token that goes too deep.  Sums and products of any length parse and
+evaluate without recursion along the chain.  Generator indices are
+validated at evaluation time, not parse time, so a parsed expression can
+be evaluated in several contexts.
 """
 
 from __future__ import annotations
@@ -134,10 +137,21 @@ def _tokenize(src: str):
 
 # -- parser ------------------------------------------------------------
 
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
+
+    def nest(self, tok):
+        # each level costs a few stack frames here and one in eval_expr
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(tok[2], f"more than {MAX_NESTING} nested "
+                                     "levels of '(' and unary '-'")
 
     def peek(self):
         return self.tokens[self.pos]
@@ -216,13 +230,16 @@ class _Parser:
             self.expect("]", "']'")
             return SchurGen(tuple(parts))
         if kind == "(":
-            self.advance()
+            self.nest(self.advance())
             inner = self.expr()
             self.expect(")", "')'")
+            self.depth -= 1
             return Paren(inner)
         if kind == "-":
-            self.advance()
-            return Neg(self.atom())
+            self.nest(self.advance())
+            node = Neg(self.atom())
+            self.depth -= 1
+            return node
         raise ParseError(tok[2], "expected rational, 'c', 'cbar', 'sigma', "
                                  "'(' or '-'")
 
@@ -236,6 +253,25 @@ def parse(src: str):
 # -- evaluation --------------------------------------------------------
 
 def eval_expr(node, ctx: RingContext) -> GrassElement:
+    # walk the left spine of a binary chain in a loop, so a flat sum or
+    # product of any length recurses only into its right operands
+    spine = []
+    while isinstance(node, (Add, Sub, Mul)):
+        spine.append(node)
+        node = node.left
+    acc = _eval_operand(node, ctx)
+    for op in reversed(spine):
+        rhs = eval_expr(op.right, ctx)
+        if isinstance(op, Add):
+            acc = acc + rhs
+        elif isinstance(op, Sub):
+            acc = acc - rhs
+        else:
+            acc = acc.cup(rhs)
+    return acc
+
+
+def _eval_operand(node, ctx: RingContext) -> GrassElement:
     k = ctx.k
     if isinstance(node, RationalLiteral):
         return GrassElement.one(ctx).scale(node.value)
@@ -255,12 +291,6 @@ def eval_expr(node, ctx: RingContext) -> GrassElement:
         except ValueError as exc:
             raise EvalError(str(exc)) from None
         return GrassElement.from_schur(ctx, schur)
-    if isinstance(node, Add):
-        return eval_expr(node.left, ctx) + eval_expr(node.right, ctx)
-    if isinstance(node, Sub):
-        return eval_expr(node.left, ctx) - eval_expr(node.right, ctx)
-    if isinstance(node, Mul):
-        return eval_expr(node.left, ctx).cup(eval_expr(node.right, ctx))
     if isinstance(node, Pow):
         return eval_expr(node.base, ctx).power(node.exponent)
     if isinstance(node, Neg):

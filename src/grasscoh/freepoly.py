@@ -4,6 +4,7 @@ A FreeClass is a finitely supported map from exponent vectors to
 Fraction coefficients.  The inverse classes cbar_i of the total class
 1 + c1 + ... + ck are provided both by the defining recursion and by the
 closed multinomial formula; the two must agree (tested, not assumed).
+`dual_coefficient` runs the recursion on a single coefficient.
 """
 
 from __future__ import annotations
@@ -245,6 +246,34 @@ def dual_class_closed(i: int, k: int) -> FreeClass:
     if i < 0:
         return FreeClass.zero(k)
     return _dual_closed(i, k)
+
+
+def dual_coefficient(alpha) -> int:
+    """Coefficient of c^alpha in cbar_{weight(alpha)}, by the defining
+    recursion [c^a] = delta_{a,0} - sum_{i: a_i > 0} [c^(a - e_i)].
+
+    The recursion is filled over the sub-box {beta <= alpha} in increasing
+    mixed-radix order, so each beta - e_i is known before beta; zero
+    exponents span no axis.  Cost prod(a_i + 1) times the number of
+    nonzero a_i, constant stack depth."""
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"negative exponent in {tuple(alpha)}")
+    radices = [a + 1 for a in alpha if a]
+    strides = []
+    cells = 1
+    for r in radices:
+        strides.append(cells)
+        cells *= r
+    table = [1] + [0] * (cells - 1)
+    digits = [0] * len(radices)
+    for pos in range(1, cells):
+        i = 0
+        while digits[i] == radices[i] - 1:
+            digits[i] = 0
+            i += 1
+        digits[i] += 1
+        table[pos] = -sum(table[pos - s] for s, d in zip(strides, digits) if d)
+    return table[-1]
 
 
 def total_chern(k: int) -> FreeClass:

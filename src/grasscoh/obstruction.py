@@ -7,8 +7,11 @@ that such a product cannot contain (Cases 1, 2i, 2ii) or records an
 exhaustive divisor search showing the forced coefficient system has no
 integer solution (Cases 2iii, 2iv).
 
-Coefficient witnesses are computed twice, by the multinomial formula and
-by extraction from the full inverse class, and must agree.
+Coefficient witnesses are computed twice and must agree: by the
+multinomial formula, and by the defining recursion of the inverse class
+run on that one coefficient (`freepoly.dual_coefficient`), which never
+builds cbar_n.  The Case 2(iii)/(iv) magnitudes are read from the same
+recursion.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .freepoly import dual_class_closed
+from .freepoly import dual_coefficient
 from .partitions import exponent_vectors_of_weight, multinomial, size, weight
 
 # Cited results the certificates rely on but do not re-derive.
@@ -87,14 +90,16 @@ def _lemma_coefficient(alpha) -> Fraction:
     return -c if size(alpha) % 2 else c
 
 
-def _witness_coefficient(alpha, k: int, n: int) -> Fraction:
-    """Coefficient of c^alpha in cbar_n, via two independent code paths."""
+def _witness_coefficient(alpha, n: int) -> Fraction:
+    """Coefficient of c^alpha in cbar_n, via two independent code paths:
+    the closed multinomial formula and the single-coefficient recursion
+    1 = (1 + c1 + ... + ck) * cbar over the sub-box of alpha."""
     by_formula = _lemma_coefficient(alpha)
-    by_extraction = dual_class_closed(n, k).coeff(alpha)
-    if by_formula != by_extraction:
+    by_recursion = dual_coefficient(alpha)
+    if by_formula != by_recursion:
         raise AssertionError(
             f"coefficient paths disagree for alpha={alpha}: "
-            f"{by_formula} vs {by_extraction}")
+            f"{by_formula} vs {by_recursion}")
     if weight(alpha) != n:
         raise AssertionError(f"witness {alpha} has weight {weight(alpha)} != {n}")
     return by_formula
@@ -106,7 +111,7 @@ def case1_certificate(k: int, n: int) -> Certificate:
     if not (1 < k <= 3 and n > k):
         raise HypothesisError(f"Case 1 needs 1 < k <= 3 < n, got ({k},{n})")
     alpha = (n,) + (0,) * (k - 1)
-    coeff = _witness_coefficient(alpha, k, n)
+    coeff = _witness_coefficient(alpha, n)
     # explicit infeasibility of c_k * y = cbar_n on the c1^n coordinate:
     # every product monomial has a_k >= 1
     betas = exponent_vectors_of_weight(n - k, k)
@@ -148,7 +153,7 @@ def case2i_certificate(k: int, n: int) -> Certificate:
         vec[2] += 1
         form = "c_(k-1)^l * c2^i * c3, r = 2i + 3"
     alpha = tuple(vec)
-    coeff = _witness_coefficient(alpha, k, n)
+    coeff = _witness_coefficient(alpha, n)
     return Certificate(
         CASE2I, k, n,
         witness_monomial=alpha,
@@ -173,7 +178,7 @@ def case2ii_certificate(k: int, n: int) -> Certificate:
     vec[k - 3] += 2
     vec[2] += 1
     alpha = tuple(vec)
-    coeff = _witness_coefficient(alpha, k, n)
+    coeff = _witness_coefficient(alpha, n)
     return Certificate(
         CASE2II, k, n,
         witness_monomial=alpha,
@@ -200,9 +205,7 @@ def _case4_magnitudes(l: int):
 
 def _verify_case4_magnitudes(l: int) -> dict:
     """Cross-check the forced magnitudes against actual coefficients of
-    cbar_{3l+4} for k=4."""
-    n = 3 * l + 4
-    cbar = dual_class_closed(n, 4)
+    cbar_{3l+4} for k=4, each by the single-coefficient recursion."""
     b_ab, b_tb, b_gb = _case4_magnitudes(l)
     checks = {
         (0, 2, l, 0): b_ab,
@@ -216,7 +219,7 @@ def _verify_case4_magnitudes(l: int) -> dict:
         j = (l - 1) // 2
         checks[(1, 3 * j + 3, 0, 0)] = 3 * j + 4
     for alpha, mag in checks.items():
-        got = abs(cbar.coeff(alpha))
+        got = abs(dual_coefficient(alpha))
         if got != mag:
             raise AssertionError(
                 f"magnitude mismatch at alpha={alpha}: {got} != {mag}")

@@ -76,20 +76,38 @@ def partitions_in_box(i: int, k: int, n: int):
 
 
 @lru_cache(maxsize=None)
+def _gaussian_binomial(k: int, n: int):
+    """Coefficients of the Gaussian binomial [k+n, k]_q, lowest degree
+    first: prod_{j=1..k} (1 - q^(n+j)) / (1 - q^j), one exact integer
+    multiplication and one exact division per factor."""
+    if k < 0 or n < 0:
+        raise ValueError("box dimensions must be nonnegative")
+    poly = [1]
+    for j in range(1, k + 1):
+        shift = n + j
+        poly += [0] * shift
+        for d in range(len(poly) - 1, shift - 1, -1):    # times (1 - q^shift)
+            poly[d] -= poly[d - shift]
+        for d in range(j, len(poly)):                    # over (1 - q^j)
+            poly[d] += poly[d - j]
+        del poly[len(poly) - j:]
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
 def count_in_box(i: int, k: int, n: int) -> int:
     """Number of partitions of i fitting in the k x n box.
 
-    This is the q^i coefficient of the Gaussian binomial [k+n, k]_q,
-    computed by the partition recursion (peel off the first part).
+    This is the q^i coefficient of the Gaussian binomial [k+n, k]_q, read
+    from the memoised row `_gaussian_binomial(k, n)`, so a whole Betti
+    vector costs one polynomial per (k, n).
     """
-    if i == 0:
-        return 1
-    if i < 0 or k == 0:
-        return 0
-    return sum(count_in_box(i - p, k - 1, p) for p in range(1, min(n, i) + 1))
+    row = _gaussian_binomial(k, n)
+    return row[i] if 0 <= i < len(row) else 0
 
 
 _backend.register_cache(count_in_box.cache_clear)
+_backend.register_cache(_gaussian_binomial.cache_clear)
 
 
 def betti_numbers(k: int, n: int):

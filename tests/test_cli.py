@@ -168,6 +168,19 @@ class TestTotality:
             code, out = run_checked(["eval", "--k", "2", "--n", "3", expression])
             assert (code, out) == (2, "")
 
+    def test_deep_nesting_is_a_parse_error(self):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(["eval", "--k", "2", "--n", "3",
+                            "(" * 400 + "c1" + ")" * 400], out=out)
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith("parse error at offset 100:")
+
+    def test_long_flat_sum(self):
+        code, out = run_checked(["eval", "--k", "2", "--n", "3",
+                                 "+".join(["1"] * 2000)])
+        assert (code, out) == (0, "2000\n= 2000*sigma[]\n")
+
     @pytest.mark.parametrize("argv", [["--help"], ["eval", "-h"]])
     def test_help_returns_zero(self, argv):
         code, out = run_checked(argv)

@@ -1,11 +1,15 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from grasscoh.freepoly import (AmbientMismatch, FreeClass, dual_class_closed,
-                               dual_class_recursive, render_free, total_chern)
+                               dual_class_recursive, dual_coefficient,
+                               render_free, total_chern)
+from grasscoh.obstruction import _lemma_coefficient
+from grasscoh.partitions import exponent_vectors_of_weight
 
 
 def c(k, i):
@@ -81,6 +85,24 @@ class TestDualClasses:
             prod = total * acc
             for j in range(1, 13):
                 assert prod.homogeneous_component(j).is_zero()
+
+    def test_single_coefficient_against_two_paths(self):
+        # the recursion on one coefficient, the full class by the closed
+        # sum, and the multinomial formula, on every alpha of weight <= 12
+        for k in range(1, 6):
+            for w in range(13):
+                cbar = dual_class_closed(w, k)
+                for alpha in exponent_vectors_of_weight(w, k):
+                    got = dual_coefficient(alpha)
+                    assert got == cbar.coeff(alpha), alpha
+                    assert got == _lemma_coefficient(alpha), alpha
+
+    def test_single_coefficient_large(self):
+        # constant stack depth and an int result far past any recursion limit
+        assert dual_coefficient((3000,)) == 1
+        assert dual_coefficient((0, 40, 0, 41)) == -comb(81, 40)
+        with pytest.raises(ValueError):
+            dual_coefficient((1, -1))
 
     def test_whitney_weight_components(self):
         # (1 + c1 + c2)(1 + cbar1 + cbar2) has no weight-1 or weight-2 part

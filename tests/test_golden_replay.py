@@ -1,11 +1,12 @@
 """Byte-identity gate: replay recorded CLI invocations in-process.
 
 `perfbench/golden.tsv` holds the exit code and the stdout digest of every
-benchmark job; the rows under MAX_COST_MS of recorded cost are replayed
-here.  Its `product` rows, the digests of every `schur_mul` product of
-basis classes in the session rings, are all replayed.  `cli_cases.tsv` next to this file adds what that table lacks:
-error exits, `selftest`, and the json and csv formats.  Both files are
-read, never written.
+benchmark job; every certify-cold row is replayed here, and the
+reduce-cold rows under MAX_COST_MS of recorded cost.  Its `product` rows,
+the digests of every `schur_mul` product of basis classes in the session
+rings, are all replayed.  `cli_cases.tsv` next to this file adds what
+that table lacks: error exits, `selftest`, and the json and csv formats.
+Both files are read, never written.
 """
 
 import contextlib
@@ -42,7 +43,8 @@ def golden_rows():
     rows = []
     for line in GOLDEN.read_text().splitlines():
         fields = line.split("\t")
-        if fields[0] == "cold" and float(fields[4]) < MAX_COST_MS:
+        if fields[0] == "cold" and (fields[1] == "certify-cold"
+                                    or float(fields[4]) < MAX_COST_MS):
             rows.append((int(fields[2]), fields[3], fields[5].split(" ")))
     return rows
 
@@ -64,7 +66,7 @@ def assert_replay(rows):
 
 def test_golden_cold_rows():
     rows = golden_rows()
-    assert len(rows) == 1393
+    assert len(rows) == 1918
     assert_replay(rows)
 
 

@@ -163,6 +163,27 @@ class TestWitnessInvariants:
                     dual_class_closed(n, k).coeff(alpha)
 
 
+class TestCertificateSweep:
+    def test_every_pair_up_to_100(self):
+        pairs = 0
+        for n in range(3, 101):
+            for k in range(2, n):
+                tag = dispatch_case(k, n)
+                assert tag in (CASE1, CASE2I, CASE2II, CASE2III, CASE2IV)
+                cert = nontrivial_intersection_report(k, n)
+                assert cert.case_tag == tag
+                if cert.witness_monomial is not None:
+                    assert weight(cert.witness_monomial) == n, (k, n)
+                    assert cert.witness_coefficient != 0, (k, n)
+                else:
+                    log = cert.search_log
+                    assert tag in (CASE2III, CASE2IV) and k == 4
+                    assert log["solutions"] == [], (k, n)
+                    assert log["coefficient_magnitudes_verified"], (k, n)
+                pairs += 1
+        assert pairs == 4851
+
+
 class TestReport:
     def test_dispatches_to_case1(self):
         cert = nontrivial_intersection_report(2, 3)

@@ -3,9 +3,9 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from grasscoh.partitions import (betti_numbers, conjugate, count_in_box,
-                                 exponent_vectors_of_weight, multinomial,
-                                 partitions_in_box, size, weight)
+from grasscoh.partitions import (_gaussian_binomial, betti_numbers, conjugate,
+                                 count_in_box, exponent_vectors_of_weight,
+                                 multinomial, partitions_in_box, size, weight)
 
 
 def test_weight_zero_vector():
@@ -57,6 +57,22 @@ def test_counts_match_enumeration():
         for n in range(1, 6):
             for i in range(k * n + 1):
                 assert count_in_box(i, k, n) == len(partitions_in_box(i, k, n))
+
+
+def test_gaussian_binomial_rows():
+    for k in range(31):
+        for n in range(31):
+            row = _gaussian_binomial(k, n)
+            assert len(row) == k * n + 1
+            assert row == row[::-1]
+            assert sum(row) == comb(k + n, k)
+            assert row == _gaussian_binomial(n, k)
+
+
+def test_count_outside_box_is_zero():
+    for i in (-3, -1, 7, 20):
+        assert count_in_box(i, 2, 3) == 0
+    assert count_in_box(0, 0, 5) == count_in_box(0, 4, 0) == 1
 
 
 def test_count_symmetry_box_complement():
