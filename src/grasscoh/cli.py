@@ -197,7 +197,6 @@ def _cmd_obstruct(args, out) -> int:
 
 
 def _selftest_suites():
-    from fractions import Fraction
     from .partitions import (conjugate, exponent_vectors_of_weight,
                              multinomial, partitions_in_box)
     from .ring import reduce_free

@@ -32,7 +32,7 @@ from .ring import GrassElement, RingContext, SchurClass
 
 @dataclass(frozen=True)
 class RationalLiteral:
-    value: Fraction
+    value: object  # an int, or a Fraction for `a/b`
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ class _Parser:
                 if den_tok[1] == 0:
                     raise ParseError(den_tok[2], "denominator must be nonzero")
                 return RationalLiteral(Fraction(num, den_tok[1]))
-            return RationalLiteral(Fraction(num))
+            return RationalLiteral(num)
         if kind == "WORD":
             word = self.advance()[1]
             if word == "c":
@@ -302,23 +302,31 @@ def _eval_operand(node, ctx: RingContext) -> GrassElement:
 
 # -- rendering ---------------------------------------------------------
 
+_INFIX = {Add: " + ", Sub: " - ", Mul: "*"}
+
+
 def render_as_source(node) -> str:
-    """Print an AST back to source text, one-to-one on the token level."""
+    """Print an AST back to source text, one-to-one on the token level.
+    Like eval_expr, it walks the left spine of a binary chain in a loop."""
+    spine = []
+    while isinstance(node, (Add, Sub, Mul)):
+        spine.append(node)
+        node = node.left
+    pieces = [_render_operand(node)]
+    for op in reversed(spine):
+        pieces += (_INFIX[type(op)], render_as_source(op.right))
+    return "".join(pieces)
+
+
+def _render_operand(node) -> str:
     if isinstance(node, RationalLiteral):
-        v = node.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return str(node.value)
     if isinstance(node, ChernGen):
         return f"c{node.index}"
     if isinstance(node, DualGen):
         return f"cbar({node.index})"
     if isinstance(node, SchurGen):
         return f"sigma[{','.join(map(str, node.partition))}]"
-    if isinstance(node, Add):
-        return f"{render_as_source(node.left)} + {render_as_source(node.right)}"
-    if isinstance(node, Sub):
-        return f"{render_as_source(node.left)} - {render_as_source(node.right)}"
-    if isinstance(node, Mul):
-        return f"{render_as_source(node.left)}*{render_as_source(node.right)}"
     if isinstance(node, Pow):
         return f"{render_as_source(node.base)}^{node.exponent}"
     if isinstance(node, Neg):

@@ -1,9 +1,10 @@
 """Exact polynomial arithmetic in Q[c1..ck], graded by weight.
 
-A FreeClass is a finitely supported map from exponent vectors to
-Fraction coefficients.  The inverse classes cbar_i of the total class
-1 + c1 + ... + ck are provided both by the defining recursion and by the
-closed multinomial formula; the two must agree (tested, not assumed).
+A FreeClass is a finitely supported map from exponent vectors to exact
+coefficients: ints, unless a rational input brings in Fractions (`exact`).
+The inverse classes cbar_i of the total class 1 + c1 + ... + ck are
+provided both by the defining recursion and by the closed multinomial
+formula; the two must agree (tested, not assumed).
 `dual_coefficient` runs the recursion on a single coefficient.
 """
 
@@ -25,6 +26,35 @@ def term_sort_key(alpha):
     return (weight(alpha), tuple(reversed(alpha)))
 
 
+def exact(c):
+    """An exact coefficient: an int stays an int, anything else becomes a
+    Fraction (ValueError or TypeError if it cannot)."""
+    return c if type(c) is int else Fraction(c)
+
+
+def add_terms(a, b):
+    """The sum of two term dicts, without zero coefficients."""
+    terms = dict(a)
+    for key, c in b.items():
+        s = terms.get(key, 0) + c
+        if s:
+            terms[key] = s
+        else:
+            terms.pop(key, None)
+    return terms
+
+
+def render_terms(pairs):
+    """Signed sum of (monomial text, coefficient) pairs in order: terms
+    `<sign> <|c|>[*<monomial>]`, a positive first one unsigned; else "0"."""
+    pieces = []
+    for mono, c in pairs:
+        body = f"{abs(c)}*{mono}" if mono else str(abs(c))
+        sign = ("" if not pieces else "+ ") if c > 0 else "- "
+        pieces.append(sign + body)
+    return " ".join(pieces) or "0"
+
+
 class FreeClass:
     """Element of Q[c1..ck].  Immutable by convention; operations return
     new instances and never store zero coefficients."""
@@ -39,7 +69,7 @@ class FreeClass:
                 if len(alpha) != k:
                     raise AmbientMismatch(
                         f"exponent vector {alpha} has length {len(alpha)}, expected {k}")
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     clean[tuple(alpha)] = c
         self.terms = clean
@@ -52,7 +82,7 @@ class FreeClass:
 
     @classmethod
     def one(cls, k):
-        return cls(k, {(0,) * k: Fraction(1)})
+        return cls(k, {(0,) * k: 1})
 
     @classmethod
     def generator(cls, k, i):
@@ -61,22 +91,22 @@ class FreeClass:
             raise ValueError(f"generator index {i} out of range [1, {k}]")
         alpha = [0] * k
         alpha[i - 1] = 1
-        return cls(k, {tuple(alpha): Fraction(1)})
+        return cls(k, {tuple(alpha): 1})
 
     @classmethod
     def monomial(cls, k, alpha, coeff=1):
-        return cls(k, {tuple(alpha): Fraction(coeff)})
+        return cls(k, {tuple(alpha): coeff})
 
     # -- basic queries ------------------------------------------------
 
     def is_zero(self):
         return not self.terms
 
-    def coeff(self, alpha) -> Fraction:
+    def coeff(self, alpha):
         if len(alpha) != self.k:
             raise AmbientMismatch(
                 f"exponent vector length {len(alpha)} != ambient {self.k}")
-        return self.terms.get(tuple(alpha), Fraction(0))
+        return self.terms.get(tuple(alpha), 0)
 
     def weights(self):
         return sorted({weight(a) for a in self.terms})
@@ -93,14 +123,7 @@ class FreeClass:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            s = terms.get(a, Fraction(0)) + c
-            if s:
-                terms[a] = s
-            elif a in terms:
-                del terms[a]
-        return FreeClass(self.k, terms)
+        return FreeClass(self.k, add_terms(self.terms, other.terms))
 
     def __neg__(self):
         return FreeClass(self.k, {a: -c for a, c in self.terms.items()})
@@ -114,7 +137,7 @@ class FreeClass:
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(a, b))
-                s = terms.get(key, Fraction(0)) + ca * cb
+                s = terms.get(key, 0) + ca * cb
                 if s:
                     terms[key] = s
                 elif key in terms:
@@ -122,7 +145,7 @@ class FreeClass:
         return FreeClass(self.k, terms)
 
     def scale(self, factor):
-        factor = Fraction(factor)
+        factor = exact(factor)
         if not factor:
             return FreeClass.zero(self.k)
         return FreeClass(self.k, {a: c * factor for a, c in self.terms.items()})
@@ -183,19 +206,7 @@ def render_free(p: FreeClass) -> str:
     """Canonical text form, documented in the README: terms in canonical
     order as `<sign> <num>[/<den>][*c1^a1*...]`, unit denominators and
     unit exponents omitted."""
-    if p.is_zero():
-        return "0"
-    pieces = []
-    for alpha, c in p.sorted_terms():
-        mag = abs(c)
-        num = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-        mono = _monomial_str(alpha)
-        body = f"{num}*{mono}" if mono else num
-        if not pieces:
-            pieces.append(body if c > 0 else f"- {body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
+    return render_terms((_monomial_str(a), c) for a, c in p.sorted_terms())
 
 
 @_backend.register_cache
@@ -231,7 +242,7 @@ def dual_class_recursive(j: int, k: int) -> FreeClass:
 def _dual_closed(i: int, k: int) -> FreeClass:
     terms = {}
     for alpha in exponent_vectors_of_weight(i, k):
-        coeff = Fraction(multinomial(alpha))
+        coeff = multinomial(alpha)
         if size(alpha) % 2:
             coeff = -coeff
         terms[alpha] = coeff

@@ -11,16 +11,15 @@ import io
 import csv
 from dataclasses import dataclass, field
 
-from .partitions import betti_numbers
+from .freepoly import FreeClass
+from .partitions import betti_numbers, weight
 from .ring import GrassElement, RingContext
 
 
 def apply_adams(x: GrassElement, m: int) -> GrassElement:
-    out = GrassElement.zero(x.context)
-    for q in x.free.weights():
-        out = out + GrassElement(x.context,
-                                 x.free.homogeneous_component(q).scale(m ** q))
-    return out
+    """The degree-m Adams endomorphism: c^alpha -> m^weight(alpha) c^alpha."""
+    terms = {a: m ** weight(a) * c for a, c in x.free.terms.items()}
+    return GrassElement(x.context, FreeClass(x.context.k, terms))
 
 
 def lefschetz_number(m: int, ctx: RingContext) -> int:

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .freepoly import dual_coefficient
-from .partitions import exponent_vectors_of_weight, multinomial, size, weight
+from .partitions import multinomial, size, weight
 
 # Cited results the certificates rely on but do not re-derive.
 ASSUME_ADAMS = "GH3-Thm1-Adams"                      # endomorphisms are Adams type
@@ -47,22 +46,19 @@ class Certificate:
     k: int
     n: int
     witness_monomial: Optional[tuple] = None
-    witness_coefficient: Optional[Fraction] = None
+    witness_coefficient: Optional[int] = None
     search_log: Optional[dict] = None
     assumptions: list = field(default_factory=list)
 
     def to_obj(self):
-        coeff = None
-        if self.witness_coefficient is not None:
-            c = self.witness_coefficient
-            coeff = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        coeff = self.witness_coefficient
         return {
             "case": self.case_tag,
             "k": self.k,
             "n": self.n,
             "witness": ({"alpha": list(self.witness_monomial)}
                         if self.witness_monomial is not None else None),
-            "coefficient": coeff,
+            "coefficient": None if coeff is None else str(coeff),
             "assumptions": list(self.assumptions),
             "search_log": self.search_log,
         }
@@ -85,12 +81,12 @@ def dispatch_case(k: int, n: int) -> str:
     return CASE2III if lp % 2 == 0 else CASE2IV
 
 
-def _lemma_coefficient(alpha) -> Fraction:
-    c = Fraction(multinomial(alpha))
+def _lemma_coefficient(alpha) -> int:
+    c = multinomial(alpha)
     return -c if size(alpha) % 2 else c
 
 
-def _witness_coefficient(alpha, n: int) -> Fraction:
+def _witness_coefficient(alpha, n: int) -> int:
     """Coefficient of c^alpha in cbar_n, via two independent code paths:
     the closed multinomial formula and the single-coefficient recursion
     1 = (1 + c1 + ... + ck) * cbar over the sub-box of alpha."""
@@ -107,25 +103,25 @@ def _witness_coefficient(alpha, n: int) -> Fraction:
 
 def case1_certificate(k: int, n: int) -> Certificate:
     """k in {2,3}: the pure c1^n monomial of cbar_n has no c_k factor, but
-    every monomial of c_k cup (anything) does."""
+    every monomial c^beta * c_k of c_k cup (anything) does.  Those beta are
+    the exponent vectors of weight n - k, the partitions of n - k into
+    parts <= k, and only their number enters the log."""
     if not (1 < k <= 3 and n > k):
         raise HypothesisError(f"Case 1 needs 1 < k <= 3 < n, got ({k},{n})")
     alpha = (n,) + (0,) * (k - 1)
     coeff = _witness_coefficient(alpha, n)
-    # explicit infeasibility of c_k * y = cbar_n on the c1^n coordinate:
-    # every product monomial has a_k >= 1
-    betas = exponent_vectors_of_weight(n - k, k)
-    e_k = (0,) * (k - 1) + (1,)
-    bad = [b for b in betas
-           if tuple(x + y for x, y in zip(b, e_k))[k - 1] < 1]
-    if bad or alpha[k - 1] != 0 or coeff == 0:
+    if coeff == 0:
         raise AssertionError("Case 1 infeasibility check failed")
+    ways = [1] + [0] * (n - k)
+    for part in range(1, k + 1):
+        for total in range(part, n - k + 1):
+            ways[total] += ways[total - part]
     return Certificate(
         CASE1, k, n,
         witness_monomial=alpha,
         witness_coefficient=coeff,
         search_log={
-            "image_monomials_checked": len(betas),
+            "image_monomials_checked": ways[-1],
             "all_have_ck_factor": True,
             "witness_ck_exponent": 0,
         },

@@ -6,19 +6,19 @@ two separate prunes: partitions with more than k rows vanish already in
 k variables, partitions with a part larger than n vanish in the
 quotient.  `reduce_free(p)` is p acting on sigma_(), and `schur_mul(a, b)`
 is the Giambelli lift of a acting on b.  The chains and the lifts are
-memoised.  The ideal relations are then a testable consequence, not an
-implementation input.
+memoised, and integer classes stay integer (`freepoly.exact`).  The
+ideal relations are then a testable consequence, not an implementation
+input.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import _backend
-from .freepoly import AmbientMismatch, FreeClass
+from .freepoly import AmbientMismatch, FreeClass, add_terms, exact, render_terms
 from .partitions import conjugate
 
 
@@ -46,7 +46,7 @@ class ContextMismatch(ValueError):
 
 
 class SchurClass:
-    """Finitely supported map from box partitions to Fraction coefficients.
+    """Finitely supported map from box partitions to exact coefficients.
     A key that is not a partition (weakly decreasing positive parts) or
     leaves the box raises ValueError."""
 
@@ -64,7 +64,7 @@ class SchurClass:
                 if len(lam) > context.k or (lam and lam[0] > context.n):
                     raise ValueError(f"partition {list(lam)} outside the "
                                      f"{context.k}x{context.n} box")
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     clean[lam] = c
         self.terms = clean
@@ -72,8 +72,8 @@ class SchurClass:
     def is_zero(self):
         return not self.terms
 
-    def coeff(self, lam) -> Fraction:
-        return self.terms.get(tuple(lam), Fraction(0))
+    def coeff(self, lam):
+        return self.terms.get(tuple(lam), 0)
 
     def _check(self, other):
         if self.context != other.context:
@@ -81,14 +81,7 @@ class SchurClass:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for lam, c in other.terms.items():
-            s = terms.get(lam, Fraction(0)) + c
-            if s:
-                terms[lam] = s
-            elif lam in terms:
-                del terms[lam]
-        return SchurClass(self.context, terms)
+        return SchurClass(self.context, add_terms(self.terms, other.terms))
 
     def __neg__(self):
         return SchurClass(self.context, {l: -c for l, c in self.terms.items()})
@@ -97,7 +90,7 @@ class SchurClass:
         return self + (-other)
 
     def scale(self, factor):
-        factor = Fraction(factor)
+        factor = exact(factor)
         if not factor:
             return SchurClass(self.context)
         return SchurClass(self.context,
@@ -122,19 +115,8 @@ class SchurClass:
         return json.dumps(self.to_obj())
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for lam, c in self.sorted_terms():
-            mag = abs(c)
-            num = (str(mag.numerator) if mag.denominator == 1
-                   else f"{mag.numerator}/{mag.denominator}")
-            body = f"{num}*sigma[{','.join(map(str, lam))}]"
-            if not pieces:
-                pieces.append(body if c > 0 else f"- {body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return render_terms((f"sigma[{','.join(map(str, lam))}]", c)
+                            for lam, c in self.sorted_terms())
 
     def __repr__(self):
         return f"SchurClass({self.context}, {str(self)!r})"
@@ -200,10 +182,7 @@ class GrassElement:
 
     @classmethod
     def from_schur(cls, context, schur: SchurClass):
-        free = FreeClass.zero(context.k)
-        for lam, c in schur.terms.items():
-            free = free + giambelli(lam, context.k).scale(c)
-        return cls(context, free, reduced=schur)
+        return cls(context, lift(schur), reduced=schur)
 
     @classmethod
     def zero(cls, context):
@@ -307,13 +286,24 @@ def _giambelli(lam, k):
     return below[tuple(range(m))]
 
 
-def integrate(x: GrassElement) -> Fraction:
+def lift(s: SchurClass) -> FreeClass:
+    """The free representative sum c * giambelli(lam) of a Schur class,
+    summed in one dict."""
+    k = s.context.k
+    terms = {}
+    for lam, c in s.terms.items():
+        for alpha, g in giambelli(lam, k).terms.items():
+            terms[alpha] = terms.get(alpha, 0) + c * g
+    return FreeClass(k, terms)
+
+
+def integrate(x: GrassElement):
     """Coefficient of the box partition (n,...,n): evaluation against the
     fundamental class."""
     return x.reduced.coeff(x.context.top_partition)
 
 
-def pairing(x: GrassElement, y: GrassElement) -> Fraction:
+def pairing(x: GrassElement, y: GrassElement):
     return integrate(x.cup(y))
 
 
@@ -321,11 +311,7 @@ def schur_mul(a: SchurClass, b: SchurClass) -> SchurClass:
     """Product on canonical forms: the Giambelli lift of a acting on b."""
     if a.context != b.context:
         raise ContextMismatch(f"{a.context} != {b.context}")
-    k = a.context.k
-    free = FreeClass.zero(k)
-    for lam, c in a.terms.items():
-        free = free + giambelli(lam, k).scale(c)
-    return act(free, b)
+    return act(lift(a), b)
 
 
 def complement(lam, k: int, n: int):

@@ -181,6 +181,13 @@ class TestTotality:
                                  "+".join(["1"] * 2000)])
         assert (code, out) == (0, "2000\n= 2000*sigma[]\n")
 
+    def test_large_case1_obstruct(self):
+        # the image count comes from a partition-count DP, not from listing
+        # the ~n^2/12 exponent vectors
+        code, out = run_checked(["obstruct", "--k", "3", "--n", "20000"])
+        assert code == 0
+        assert '"image_monomials_checked": 33333333' in out
+
     @pytest.mark.parametrize("argv", [["--help"], ["eval", "-h"]])
     def test_help_returns_zero(self, argv):
         code, out = run_checked(argv)

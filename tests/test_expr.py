@@ -166,6 +166,14 @@ def test_round_trip_500_random_trees():
         assert parse(src) == tree
 
 
+@pytest.mark.parametrize("op", [" + ", "*", " - "])
+def test_render_long_flat_chain(op):
+    # far past the recursion limit; strings are compared, since the
+    # dataclass __eq__ would recurse down a tree this deep
+    src = op.join(f"c{1 + i % 3}" for i in range(2000))
+    assert render_as_source(parse(src)) == src
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=256))
 def test_parser_totality_text(src):

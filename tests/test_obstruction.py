@@ -9,7 +9,8 @@ from grasscoh.obstruction import (CASE1, CASE2I, CASE2II, CASE2III, CASE2IV,
                                   case1_certificate, case2i_certificate,
                                   case2ii_certificate, dispatch_case,
                                   nontrivial_intersection_report)
-from grasscoh.partitions import multinomial, size, weight
+from grasscoh.partitions import (exponent_vectors_of_weight, multinomial, size,
+                                 weight)
 
 
 class TestDispatch:
@@ -60,6 +61,23 @@ class TestCase1:
     def test_range_rejected(self):
         with pytest.raises(HypothesisError):
             case1_certificate(4, 5)
+
+    def test_image_count_matches_enumeration(self):
+        for k in (2, 3):
+            for n in range(k + 1, 61):
+                log = case1_certificate(k, n).search_log
+                assert log["image_monomials_checked"] == \
+                    len(exponent_vectors_of_weight(n - k, k)), (k, n)
+
+    def test_image_count_closed_forms(self):
+        # partitions of w into parts <= 2, and into parts <= 3
+        for n in (61, 1000, 4321, 20000):
+            w = n - 2
+            assert case1_certificate(2, n).search_log[
+                "image_monomials_checked"] == w // 2 + 1
+            w = n - 3
+            assert case1_certificate(3, n).search_log[
+                "image_monomials_checked"] == round((w + 3) ** 2 / 12)
 
 
 class TestCase2i:

@@ -3,13 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grasscoh.freepoly import FreeClass, dual_class_closed, total_chern
+from grasscoh.obstruction import nontrivial_intersection_report
 from grasscoh.partitions import partitions_in_box, weight
 from grasscoh import _backend
 from grasscoh.ring import (ContextMismatch, GrassElement, RingContext,
                            SchurClass, act, complement, giambelli, integrate,
-                           pairing, reduce_free, schur_mul)
+                           lift, pairing, reduce_free, schur_mul)
 
 
 def sigma(ctx, lam):
@@ -285,3 +287,67 @@ class TestSerialization:
         s = SchurClass(ctx, {(1, 1): 1, (2,): 1, (3, 1): Fraction(1, 2)})
         obj = s.to_obj()
         assert [t["partition"] for t in obj] == [[3, 1], [2], [1, 1]]
+
+
+PROPERTY_RINGS = [(1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (4, 2)]
+
+
+def box_basis(k, n):
+    return [lam for i in range(k * n + 1) for lam in partitions_in_box(i, k, n)]
+
+
+@st.composite
+def ring_triples(draw):
+    ctx = RingContext(*draw(st.sampled_from(PROPERTY_RINGS)))
+    coeffs = st.one_of(
+        st.integers(-6, 6),
+        st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    terms = st.dictionaries(st.sampled_from(box_basis(ctx.k, ctx.n)), coeffs,
+                            max_size=3)
+    return tuple(SchurClass(ctx, draw(terms)) for _ in range(3))
+
+
+class TestMixedCoefficients:
+    @settings(max_examples=60, deadline=None)
+    @given(ring_triples())
+    def test_ring_axioms(self, triple):
+        a, b, c = triple
+        one = sigma(a.context, ())
+        assert schur_mul(a, b) == schur_mul(b, a)
+        assert schur_mul(schur_mul(a, b), c) == schur_mul(a, schur_mul(b, c))
+        assert schur_mul(a, b + c) == schur_mul(a, b) + schur_mul(a, c)
+        assert schur_mul(one, a) == a
+        assert reduce_free(lift(a), a.context) == a
+
+    @pytest.mark.parametrize("make", [
+        lambda c: FreeClass(2, {(1, 0): c}),
+        lambda c: FreeClass.generator(2, 1).scale(c),
+        lambda c: SchurClass(RingContext(2, 2), {(1,): c}),
+        lambda c: sigma(RingContext(2, 2), (1,)).scale(c),
+    ])
+    def test_coefficient_boundary(self, make):
+        for raw, want in [(3, 3), (0.5, Fraction(1, 2)), ("2/3", Fraction(2, 3))]:
+            (got,) = make(raw).terms.values()
+            assert (got, type(got)) == (want, type(want))
+        with pytest.raises(ValueError):
+            make("x")
+
+    def test_integer_classes_stay_int(self):
+        def all_int(terms):
+            return all(type(c) is int for c in terms.values())
+
+        for k in range(1, 5):
+            for i in range(10):
+                assert all_int(dual_class_closed(i, k).terms)
+        for k, n in PROPERTY_RINGS:
+            ctx = RingContext(k, n)
+            for m in range(5):
+                assert all_int(reduce_free(total_chern(k).power(m), ctx).terms)
+            basis = box_basis(k, n)
+            for a in basis:
+                for b in basis:
+                    assert all_int(schur_mul(sigma(ctx, a), sigma(ctx, b)).terms)
+        for k in range(2, 7):
+            for n in range(k + 1, 30):
+                coeff = nontrivial_intersection_report(k, n).witness_coefficient
+                assert coeff is None or type(coeff) is int
