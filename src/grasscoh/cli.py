@@ -17,7 +17,7 @@ from .expr import EvalError, ParseError, eval_expr, parse, render
 from .freepoly import dual_class_closed, dual_class_recursive, render_free
 from .lefschetz import fpp_classification, lefschetz_number, proposition_check, sweep_csv
 from .partitions import betti_numbers, total_boxes_count
-from .ring import GrassElement, RingContext
+from .ring import RingContext
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,11 +92,12 @@ def _cmd_eval(args, out) -> int:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     try:
-        value = eval_expr(ast, RingContext(args.k, args.n))
+        ctx = RingContext(args.k, args.n)
+        value = eval_expr(ast, ctx)
     except (EvalError, ValueError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVAL
-    print(render(value, args.format), file=out)
+    print(render(value, ctx, args.format), file=out)
     return EXIT_OK
 
 
@@ -317,6 +318,10 @@ _COMMANDS = {
 
 def run_cli(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
+    # exact integers print and parse at any length (CPython 3.10.7 and
+    # later cap int <-> str conversion at 4,300 digits by default)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     # merge "--m-range -5:5" into one token so argparse does not mistake
     # the leading minus for an option

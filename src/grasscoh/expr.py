@@ -1,5 +1,5 @@
 """Expression language over the ring: lexer, recursive-descent parser,
-evaluator, renderers.
+evaluator into the free ring Q[c1..ck], renderers.
 
 Grammar (LL(1), whitespace insensitive):
 
@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freepoly import dual_class_closed, render_free
-from .ring import GrassElement, RingContext, SchurClass
+from .freepoly import FreeClass, dual_class_closed, render_free
+from .ring import RingContext, SchurClass, lift, reduce_free
 
 
 # -- AST ---------------------------------------------------------------
@@ -252,7 +252,7 @@ def parse(src: str):
 
 # -- evaluation --------------------------------------------------------
 
-def eval_expr(node, ctx: RingContext) -> GrassElement:
+def eval_expr(node, ctx: RingContext) -> FreeClass:
     # walk the left spine of a binary chain in a loop, so a flat sum or
     # product of any length recurses only into its right operands
     spine = []
@@ -267,21 +267,21 @@ def eval_expr(node, ctx: RingContext) -> GrassElement:
         elif isinstance(op, Sub):
             acc = acc - rhs
         else:
-            acc = acc.cup(rhs)
+            acc = acc * rhs
     return acc
 
 
-def _eval_operand(node, ctx: RingContext) -> GrassElement:
+def _eval_operand(node, ctx: RingContext) -> FreeClass:
     k = ctx.k
     if isinstance(node, RationalLiteral):
-        return GrassElement.one(ctx).scale(node.value)
+        return FreeClass.one(k).scale(node.value)
     if isinstance(node, ChernGen):
         if not 1 <= node.index <= k:
             raise EvalError(f"generator index {node.index} out of range "
                             f"[1, {k}]")
-        return GrassElement.generator(ctx, node.index)
+        return FreeClass.generator(k, node.index)
     if isinstance(node, DualGen):
-        return GrassElement(ctx, dual_class_closed(node.index, k))
+        return dual_class_closed(node.index, k)
     if isinstance(node, SchurGen):
         parts = node.partition
         while parts and parts[-1] == 0:
@@ -290,7 +290,7 @@ def _eval_operand(node, ctx: RingContext) -> GrassElement:
             schur = SchurClass(ctx, {parts: 1})
         except ValueError as exc:
             raise EvalError(str(exc)) from None
-        return GrassElement.from_schur(ctx, schur)
+        return lift(schur)
     if isinstance(node, Pow):
         return eval_expr(node.base, ctx).power(node.exponent)
     if isinstance(node, Neg):
@@ -336,19 +336,20 @@ def _render_operand(node) -> str:
     raise TypeError(f"unknown node {node!r}")
 
 
-def render(x: GrassElement, fmt: str = "text") -> str:
-    """Render a ring element: free polynomial plus Schur expansion."""
+def render(x: FreeClass, ctx: RingContext, fmt: str = "text") -> str:
+    """Render a free polynomial and its Schur expansion in ctx."""
+    reduced = reduce_free(x, ctx)
     if fmt == "text":
-        return f"{render_free(x.free)}\n= {x.reduced}"
+        return f"{render_free(x)}\n= {reduced}"
     if fmt == "json":
         import json as _json
         free = [{"alpha": list(a),
                  "coeff": f"{c.numerator}/{c.denominator}"}
-                for a, c in x.free.sorted_terms()]
-        return _json.dumps({"free": free, "schur": x.reduced.to_obj()})
+                for a, c in x.sorted_terms()]
+        return _json.dumps({"free": free, "schur": reduced.to_obj()})
     if fmt == "csv":
         lines = ["partition,coeff"]
-        for lam, c in x.reduced.sorted_terms():
+        for lam, c in reduced.sorted_terms():
             lines.append(f"\"{' '.join(map(str, lam))}\","
                          f"{c.numerator}/{c.denominator}")
         return "\n".join(lines) + "\n"

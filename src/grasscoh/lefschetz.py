@@ -11,15 +11,14 @@ import io
 import csv
 from dataclasses import dataclass, field
 
-from .freepoly import FreeClass
-from .partitions import betti_numbers, weight
-from .ring import GrassElement, RingContext
+from .partitions import betti_numbers
+from .ring import GrassElement, RingContext, SchurClass
 
 
 def apply_adams(x: GrassElement, m: int) -> GrassElement:
-    """The degree-m Adams endomorphism: c^alpha -> m^weight(alpha) c^alpha."""
-    terms = {a: m ** weight(a) * c for a, c in x.free.terms.items()}
-    return GrassElement(x.context, FreeClass(x.context.k, terms))
+    """The degree-m Adams endomorphism: sigma_lam -> m^|lam| sigma_lam."""
+    terms = {lam: m ** sum(lam) * c for lam, c in x.reduced.terms.items()}
+    return GrassElement(x.context, SchurClass(x.context, terms))
 
 
 def lefschetz_number(m: int, ctx: RingContext) -> int:

@@ -33,10 +33,6 @@ class RingContext:
             raise ValueError("k and n must be positive")
 
     @property
-    def top_degree(self) -> int:
-        return self.k * self.n
-
-    @property
     def top_partition(self):
         return (self.n,) * self.k
 
@@ -166,81 +162,28 @@ def reduce_free(p: FreeClass, ctx: RingContext) -> SchurClass:
     return act(p, SchurClass(ctx, {(): 1}))
 
 
+@dataclass(frozen=True)
 class GrassElement:
-    """Ring element carrying a free representative and, lazily, its
-    canonical Schur form.  Equality is equality of canonical forms."""
+    """Ring element held as its canonical Schur class; equality, hash and
+    repr are those of the (context, class) pair."""
+    context: RingContext
+    reduced: SchurClass
 
-    __slots__ = ("context", "free", "_reduced")
-
-    def __init__(self, context: RingContext, free: FreeClass, reduced=None):
-        if free.k != context.k:
-            raise AmbientMismatch(
-                f"free representative ambient {free.k} != context k {context.k}")
-        self.context = context
-        self.free = free
-        self._reduced = reduced
+    def __post_init__(self):
+        if self.reduced.context != self.context:
+            raise ContextMismatch(f"{self.reduced.context} != {self.context}")
 
     @classmethod
     def from_schur(cls, context, schur: SchurClass):
-        return cls(context, lift(schur), reduced=schur)
-
-    @classmethod
-    def zero(cls, context):
-        return cls(context, FreeClass.zero(context.k))
-
-    @classmethod
-    def one(cls, context):
-        return cls(context, FreeClass.one(context.k))
-
-    @classmethod
-    def generator(cls, context, i):
-        return cls(context, FreeClass.generator(context.k, i))
-
-    @property
-    def reduced(self) -> SchurClass:
-        if self._reduced is None:
-            self._reduced = reduce_free(self.free, self.context)
-        return self._reduced
-
-    def _check(self, other):
-        if self.context != other.context:
-            raise ContextMismatch(f"{self.context} != {other.context}")
-
-    def __add__(self, other):
-        self._check(other)
-        return GrassElement(self.context, self.free + other.free)
-
-    def __neg__(self):
-        return GrassElement(self.context, -self.free)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor):
-        return GrassElement(self.context, self.free.scale(factor))
+        return cls(context, schur)
 
     def cup(self, other) -> "GrassElement":
-        self._check(other)
-        return GrassElement(self.context, self.free * other.free)
+        return GrassElement(self.context, schur_mul(self.reduced, other.reduced))
 
     __mul__ = cup
 
-    def power(self, exponent: int):
-        return GrassElement(self.context, self.free.power(exponent))
-
-    def __eq__(self, other):
-        return (isinstance(other, GrassElement)
-                and self.context == other.context
-                and self.reduced == other.reduced)
-
-    def __hash__(self):
-        return hash(self.reduced)
-
     def is_zero(self):
         return self.reduced.is_zero()
-
-    def __repr__(self):
-        return f"GrassElement({self.context}, {str(self.free)!r})"
 
 
 def giambelli(lam, k: int) -> FreeClass:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from grasscoh.cli import run_cli
+from grasscoh.partitions import betti_numbers
 from grasscoh.ring import RingContext, SchurClass
 
 
@@ -187,6 +188,30 @@ class TestTotality:
         code, out = run_checked(["obstruct", "--k", "3", "--n", "20000"])
         assert code == 0
         assert '"image_monomials_checked": 33333333' in out
+
+    # integers past the interpreter's default 4,300-digit str limit
+    def test_lefschetz_past_str_digit_limit(self):
+        code, out = run_checked(["lefschetz", "--k", "40", "--n", "40",
+                                 "--m", "1000"])
+        assert code == 0
+        lef = sum(1000 ** i * b for i, b in enumerate(betti_numbers(40, 40)))
+        assert out == f"{lef}\n"
+
+    def test_fpp_json_huge_degree(self):
+        m = "1" + "0" * 4400
+        code, out = run_checked(["--format", "json", "fpp", "--k-max", "1",
+                                 "--n-max", "1", "--m-range", f"{m}:{m}"])
+        assert code == 0
+        assert json.loads(out) == [{"k": 1, "n": 1,
+                                    "status": "OutsideClassifiedRange",
+                                    "lefschetz": {m: 10 ** 4400 + 1}}]
+
+    def test_eval_literal_power(self):
+        code, out = run_checked(["eval", "--k", "2", "--n", "3",
+                                 "(" + "9" * 100 + ")^100"])
+        assert code == 0
+        value = (10 ** 100 - 1) ** 100
+        assert out == f"{value}\n= {value}*sigma[]\n"
 
     @pytest.mark.parametrize("argv", [["--help"], ["eval", "-h"]])
     def test_help_returns_zero(self, argv):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grasscoh.freepoly import FreeClass, dual_class_closed, total_chern
+from grasscoh.lefschetz import apply_adams
 from grasscoh.obstruction import nontrivial_intersection_report
 from grasscoh.partitions import partitions_in_box, weight
 from grasscoh import _backend
@@ -16,6 +17,11 @@ from grasscoh.ring import (ContextMismatch, GrassElement, RingContext,
 
 def sigma(ctx, lam):
     return SchurClass(ctx, {tuple(lam): 1})
+
+
+def elt(ctx, p):
+    """The ring element of a free polynomial."""
+    return GrassElement(ctx, reduce_free(p, ctx))
 
 
 def pieri(s, i):
@@ -191,19 +197,21 @@ class TestGiambelli:
 class TestRingStructure:
     def test_cup_unit(self):
         ctx = RingContext(2, 3)
-        x = GrassElement(ctx, dual_class_closed(2, 2))
-        assert x.cup(GrassElement.one(ctx)) == x
+        x = elt(ctx, dual_class_closed(2, 2))
+        assert x.cup(elt(ctx, FreeClass.one(2))) == x
 
     def test_cup_vanishes_above_top(self):
         ctx = RingContext(1, 1)
-        c1 = GrassElement.generator(ctx, 1)
+        c1 = elt(ctx, FreeClass.generator(1, 1))
         assert c1.cup(c1).is_zero()
 
     def test_context_mismatch(self):
-        x = GrassElement.one(RingContext(2, 2))
-        y = GrassElement.one(RingContext(2, 3))
+        x = elt(RingContext(2, 2), FreeClass.one(2))
+        y = elt(RingContext(2, 3), FreeClass.one(2))
         with pytest.raises(ContextMismatch):
             x.cup(y)
+        with pytest.raises(ContextMismatch):
+            GrassElement.from_schur(RingContext(2, 3), x.reduced)
 
     def test_integrate_top(self):
         for k, n in [(1, 2), (2, 2), (2, 3)]:
@@ -213,11 +221,11 @@ class TestRingStructure:
 
     def test_integrate_wrong_degree(self):
         ctx = RingContext(2, 2)
-        assert integrate(GrassElement.generator(ctx, 1)) == 0
+        assert integrate(elt(ctx, FreeClass.generator(2, 1))) == 0
 
     def test_cp2_self_intersection(self):
         ctx = RingContext(1, 2)
-        c1 = GrassElement.generator(ctx, 1)
+        c1 = elt(ctx, FreeClass.generator(1, 1))
         assert integrate(c1.cup(c1)) == 1
 
     def test_schubert_duality_g22(self):
@@ -351,3 +359,35 @@ class TestMixedCoefficients:
             for n in range(k + 1, 30):
                 coeff = nontrivial_intersection_report(k, n).witness_coefficient
                 assert coeff is None or type(coeff) is int
+
+
+class TestSchurFirstElements:
+    """The free-ring paths that `cup` and `apply_adams` replaced, kept as
+    oracles, and the closed form of the dual classes in the quotient."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ring_triples())
+    def test_cup_is_reduced_free_product(self, triple):
+        a, b, _ = triple
+        ctx = a.context
+        x, y = GrassElement.from_schur(ctx, a), GrassElement.from_schur(ctx, b)
+        assert x.cup(y).reduced == reduce_free(lift(a) * lift(b), ctx)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ring_triples(), st.integers(-4, 4))
+    def test_adams_is_free_weight_scaling(self, triple, m):
+        a = triple[0]
+        ctx = a.context
+        free = FreeClass(ctx.k, {alpha: m ** weight(alpha) * c
+                                 for alpha, c in lift(a).terms.items()})
+        got = apply_adams(GrassElement.from_schur(ctx, a), m)
+        assert got.reduced == reduce_free(free, ctx)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 6), st.data())
+    def test_dual_class_is_signed_row(self, k, n, data):
+        i = data.draw(st.integers(0, n + k + 2))
+        ctx = RingContext(k, n)
+        row = (i,) if i else ()
+        want = SchurClass(ctx, {row: (-1) ** i}) if i <= n else SchurClass(ctx)
+        assert reduce_free(dual_class_closed(i, k), ctx) == want
