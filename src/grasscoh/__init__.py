@@ -2,7 +2,7 @@
 Grassmannians G(k,n): dual Chern classes, Schur-basis reduction, Adams
 Lefschetz numbers, and nontrivial-intersection certificates."""
 
-from ._backend import backend_name, clear_caches
+from . import partitions, ring
 from .freepoly import FreeClass, dual_class_closed, dual_class_recursive, render_free
 from .lefschetz import apply_adams, fpp_classification, lefschetz_number
 from .obstruction import Certificate, dispatch_case, nontrivial_intersection_report
@@ -20,3 +20,16 @@ __all__ = [
     "nontrivial_intersection_report", "pairing", "partitions_in_box",
     "reduce_free", "render_free", "weight",
 ]
+
+# every memo in the package; clear_caches() empties them all
+_MEMOS = (ring.vertical_strips, ring._reduce_monomial, ring._giambelli,
+          partitions.count_in_box, partitions._gaussian_binomial)
+
+
+def clear_caches():
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
+def backend_name() -> str:
+    return "python"

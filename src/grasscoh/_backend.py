@@ -1,25 +1,10 @@
-"""The pure-Python kernel and the registry of package memos."""
+"""The `kernel` binding that perfbench/tracer.py wraps: the strip and
+exponent-vector enumerators, as the very function objects the package
+calls.  No package module imports this one."""
 
-from . import _kernel_py
+from types import SimpleNamespace
 
-# perfbench/tracer.py wraps the kernel.* layers through this binding.
-kernel = _kernel_py
+from . import partitions, ring
 
-_cache_clearers = []
-
-
-def register_cache(clear_fn):
-    _cache_clearers.append(clear_fn)
-    return clear_fn
-
-
-def clear_caches():
-    for fn in _cache_clearers:
-        fn()
-
-
-register_cache(kernel.vertical_strips.cache_clear)
-
-
-def backend_name() -> str:
-    return kernel.NAME
+kernel = SimpleNamespace(vertical_strips=ring.vertical_strips,
+                         expvecs_of_weight=partitions.exponent_vectors_of_weight)

@@ -11,8 +11,7 @@ import argparse
 import json
 import sys
 
-from . import obstruction
-from ._backend import backend_name
+from . import backend_name, obstruction
 from .expr import EvalError, ParseError, eval_expr, parse, render
 from .freepoly import dual_class_closed, dual_class_recursive, render_free
 from .lefschetz import fpp_classification, lefschetz_number, proposition_check, sweep_csv

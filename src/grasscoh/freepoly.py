@@ -5,15 +5,14 @@ coefficients: ints, unless a rational input brings in Fractions (`exact`).
 The inverse classes cbar_i of the total class 1 + c1 + ... + ck are
 provided both by the defining recursion and by the closed multinomial
 formula; the two must agree (tested, not assumed).
-`dual_coefficient` runs the recursion on a single coefficient.
+`dual_coefficient` runs the recursion on a single coefficient, and
+`closed_coefficient` evaluates the formula on one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from . import _backend
 from .partitions import exponent_vectors_of_weight, multinomial, size, weight
 
 
@@ -153,6 +152,12 @@ class FreeClass:
     def power(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative exponent")
+        if len(self.terms) == 1:
+            # (c * x^alpha)^e = c^e * x^(e*alpha), in one step for any e
+            (alpha, c), = self.terms.items()
+            return FreeClass(self.k, {tuple(exponent * a for a in alpha): c ** exponent})
+        if not self.terms and exponent:    # zero stays zero, at once
+            return self
         out = FreeClass.one(self.k)
         for _ in range(exponent):
             out = out * self
@@ -209,44 +214,27 @@ def render_free(p: FreeClass) -> str:
     return render_terms((_monomial_str(a), c) for a, c in p.sorted_terms())
 
 
-@_backend.register_cache
-def _clear_dual_caches():
-    _dual_recursive.cache_clear()
-    _dual_closed.cache_clear()
-
-
-@lru_cache(maxsize=None)
-def _dual_recursive(j: int, k: int) -> FreeClass:
-    if j < 0:
-        return FreeClass.zero(k)
-    if j == 0:
-        return FreeClass.one(k)
-    acc = FreeClass.zero(k)
-    for i in range(1, min(j, k) + 1):
-        acc = acc + FreeClass.generator(k, i) * _dual_recursive(j - i, k)
-    return -acc
-
-
 def dual_class_recursive(j: int, k: int) -> FreeClass:
     """Degree-j part of the formal inverse of 1 + c1 + ... + ck, by the
-    recursion cbar_j = -sum_i c_i * cbar_{j-i}."""
+    recursion cbar_j = -sum_i c_i * cbar_{j-i}, filled bottom-up."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    # fill the memo bottom-up, so no call recurses more than one level
-    for d in range(j):
-        _dual_recursive(d, k)
-    return _dual_recursive(j, k)
+    if j < 0:
+        return FreeClass.zero(k)
+    cbar = [FreeClass.one(k)]
+    for d in range(1, j + 1):
+        acc = FreeClass.zero(k)
+        for i in range(1, min(d, k) + 1):
+            acc = acc + FreeClass.generator(k, i) * cbar[d - i]
+        cbar.append(-acc)
+    return cbar[j]
 
 
-@lru_cache(maxsize=None)
-def _dual_closed(i: int, k: int) -> FreeClass:
-    terms = {}
-    for alpha in exponent_vectors_of_weight(i, k):
-        coeff = multinomial(alpha)
-        if size(alpha) % 2:
-            coeff = -coeff
-        terms[alpha] = coeff
-    return FreeClass(k, terms)
+def closed_coefficient(alpha) -> int:
+    """Coefficient of c^alpha in cbar_{weight(alpha)} by the closed
+    multinomial formula (-1)^|alpha| |alpha|!/alpha!."""
+    c = multinomial(alpha)
+    return -c if size(alpha) % 2 else c
 
 
 def dual_class_closed(i: int, k: int) -> FreeClass:
@@ -254,9 +242,8 @@ def dual_class_closed(i: int, k: int) -> FreeClass:
     of weight i: sum (-1)^|alpha| (|alpha|!/alpha!) c^alpha."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if i < 0:
-        return FreeClass.zero(k)
-    return _dual_closed(i, k)
+    return FreeClass(k, {alpha: closed_coefficient(alpha)
+                         for alpha in exponent_vectors_of_weight(i, k)})
 
 
 def dual_coefficient(alpha) -> int:

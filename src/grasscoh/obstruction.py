@@ -20,8 +20,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .freepoly import dual_coefficient
-from .partitions import multinomial, size, weight
+from .freepoly import closed_coefficient, dual_coefficient
+from .partitions import weight
 
 # Cited results the certificates rely on but do not re-derive.
 ASSUME_ADAMS = "GH3-Thm1-Adams"                      # endomorphisms are Adams type
@@ -81,16 +81,11 @@ def dispatch_case(k: int, n: int) -> str:
     return CASE2III if lp % 2 == 0 else CASE2IV
 
 
-def _lemma_coefficient(alpha) -> int:
-    c = multinomial(alpha)
-    return -c if size(alpha) % 2 else c
-
-
 def _witness_coefficient(alpha, n: int) -> int:
     """Coefficient of c^alpha in cbar_n, via two independent code paths:
     the closed multinomial formula and the single-coefficient recursion
     1 = (1 + c1 + ... + ck) * cbar over the sub-box of alpha."""
-    by_formula = _lemma_coefficient(alpha)
+    by_formula = closed_coefficient(alpha)
     by_recursion = dual_coefficient(alpha)
     if by_formula != by_recursion:
         raise AssertionError(

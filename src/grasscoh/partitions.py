@@ -11,8 +11,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from . import _backend
-
 
 def weight(alpha) -> int:
     """Graded degree of the monomial: sum of i * a_i."""
@@ -33,10 +31,27 @@ def multinomial(alpha) -> int:
 
 
 def exponent_vectors_of_weight(w: int, k: int):
-    """All length-k exponent vectors of weight w, deterministic order."""
-    if w < 0:
-        return []
-    return _backend.kernel.expvecs_of_weight(w, k)
+    """All length-k tuples (a_1..a_k) with sum i*a_i == w, deterministic
+    order; none for w < 0."""
+    out = []
+    vec = [0] * k
+
+    def rec(rem, i):
+        if i == 1:
+            vec[0] = rem
+            out.append(tuple(vec))
+            vec[0] = 0
+            return
+        for a in range(rem // i, -1, -1):
+            vec[i - 1] = a
+            rec(rem - a * i, i - 1)
+        vec[i - 1] = 0
+
+    if k >= 1 and w >= 0:
+        rec(w, k)
+    elif w == 0:
+        out.append(())
+    return out
 
 
 def conjugate(parts):
@@ -104,10 +119,6 @@ def count_in_box(i: int, k: int, n: int) -> int:
     """
     row = _gaussian_binomial(k, n)
     return row[i] if 0 <= i < len(row) else 0
-
-
-_backend.register_cache(count_in_box.cache_clear)
-_backend.register_cache(_gaussian_binomial.cache_clear)
 
 
 def betti_numbers(k: int, n: int):

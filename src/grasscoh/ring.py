@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import _backend
 from .freepoly import AmbientMismatch, FreeClass, add_terms, exact, render_terms
 from .partitions import conjugate
 
@@ -118,17 +117,50 @@ class SchurClass:
         return f"SchurClass({self.context}, {str(self)!r})"
 
 
-@_backend.register_cache
-def _clear_ring_caches():
-    _reduce_monomial.cache_clear()
-    _giambelli.cache_clear()
+@lru_cache(maxsize=None)
+def vertical_strips(parts, size, max_rows, max_part):
+    """Partitions obtained from `parts` by adding a vertical strip of
+    `size` boxes (at most one box per row), pruned to the
+    max_rows x max_part box.  Deterministic order.  Memoised, so the
+    result is a shared tuple."""
+    nrows = len(parts)
+    if nrows > max_rows:
+        return ()
+    lam = list(parts) + [0] * (max_rows - nrows)
+    out = []
+    mu = [0] * max_rows
+
+    def rec(row, left, prev):
+        # prev = value of mu[row-1]; adding at most one box per row
+        if left == 0:
+            res = lam[row:]
+            cand = tuple(mu[:row]) + tuple(res)
+            # remaining rows unchanged; still decreasing since mu[row-1] >= lam[row-1] >= lam[row]
+            while cand and cand[-1] == 0:
+                cand = cand[:-1]
+            out.append(cand)
+            return
+        if row == max_rows or left > max_rows - row:
+            return
+        up = lam[row] + 1
+        if up <= prev and up <= max_part:
+            mu[row] = up
+            rec(row + 1, left - 1, up)
+        mu[row] = lam[row]
+        rec(row + 1, left, lam[row])
+
+    if parts and parts[0] > max_part:
+        return ()
+    rec(0, size, max_part)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _reduce_monomial(alpha, k, n, start=()):
     """Schur expansion of c^alpha * sigma_start in the k x n box, as a
     tuple of (partition, integer multiplicity) pairs."""
-    strips = _backend.kernel.vertical_strips
+    # read at call time, so a wrapper bound to the module name sees every call
+    strips = vertical_strips
     current = {start: 1}
     # process e_i factors in decreasing i: fewer intermediate terms
     for i in range(k, 0, -1):
@@ -137,6 +169,9 @@ def _reduce_monomial(alpha, k, n, start=()):
             for lam, c in current.items():
                 for mu in strips(lam, i, k, n):
                     nxt[mu] = nxt.get(mu, 0) + c
+            if not nxt:
+                # every chain left the box; the rest of alpha cannot revive it
+                return ()
             current = nxt
     return tuple(current.items())
 

@@ -3,10 +3,13 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from grasscoh import cli
 from grasscoh.cli import run_cli
+from grasscoh.expr import eval_expr, parse
 from grasscoh.partitions import betti_numbers
-from grasscoh.ring import RingContext, SchurClass
+from grasscoh.ring import RingContext, SchurClass, reduce_free
 
 
 def run(argv):
@@ -206,6 +209,15 @@ class TestTotality:
                                     "status": "OutsideClassifiedRange",
                                     "lefschetz": {m: 10 ** 4400 + 1}}]
 
+    @pytest.mark.parametrize("expression, out", [
+        # one step for the power, and the reduction stops once the strip
+        # chain has left the box
+        ("c1^10000000", "1*c1^10000000\n= 0\n"),
+        ("0^10000000", "0\n= 0\n"),
+    ])
+    def test_huge_power_of_a_monomial(self, expression, out):
+        assert run_checked(["eval", "--k", "1", "--n", "1", expression]) == (0, out)
+
     def test_eval_literal_power(self):
         code, out = run_checked(["eval", "--k", "2", "--n", "3",
                                  "(" + "9" * 100 + ")^100"])
@@ -218,3 +230,81 @@ class TestTotality:
         code, out = run_checked(argv)
         assert code == 0
         assert out.startswith("usage: grasscoh")
+
+
+# -- argv fuzz: a bounded token alphabet, k and n <= 4, exponents <= 3 --
+
+SIZES = st.sampled_from(["1", "2", "3", "4"])
+_ATOMS = st.sampled_from(["0", "2", "1/2", "c1", "c2", "c4", "cbar(0)",
+                          "cbar(3)", "cbar(5)", "sigma[]", "sigma[1]",
+                          "sigma[2,1]", "sigma[4,4]", "-c1"])
+_BASES = _ATOMS | st.builds(lambda a, op, b: f"({a}{op}{b})",
+                            _ATOMS, st.sampled_from("+-*"), _ATOMS)
+_FACTORS = st.builds(lambda b, e: b if e is None else f"{b}^{e}",
+                     _BASES, st.none() | st.integers(0, 3))
+# a chain of one to three factors; the leading operator is dropped
+EXPRESSIONS = st.lists(st.tuples(st.sampled_from("+-*"), _FACTORS),
+                       min_size=1, max_size=3).map(
+    lambda pairs: "".join(op + f for op, f in pairs)[1:])
+# edits bring in bad values, malformed expressions and stray options
+TOKENS = st.sampled_from([
+    "eval", "dual", "betti", "lefschetz", "fpp", "obstruct", "--format",
+    "text", "json", "csv", "--k", "--n", "--i", "--m", "--k-max", "--n-max",
+    "--m-range", "--method", "closed", "recursive", "both", "-1:1", "2:0",
+    "0:3", "x", "", "-h", "--help", "-1", "0", "c5", "sigma[1,2]", "c1^",
+    "(c1", "1/0"]) | SIZES | EXPRESSIONS
+
+
+@st.composite
+def shaped_argv(draw):
+    """A well-formed command line, then, half of the time, one or two
+    token edits."""
+    fmt = draw(st.sampled_from([[], ["--format", "text"], ["--format", "json"],
+                                ["--format", "csv"]]))
+    # eval, whose two output lines have a contract of their own, half of the time
+    cmd = draw(st.just("eval") | st.sampled_from(["dual", "betti", "lefschetz",
+                                                  "fpp", "obstruct"]))
+    argv = fmt + [cmd]
+    if cmd == "eval":
+        argv += ["--k", draw(SIZES), "--n", draw(SIZES), draw(EXPRESSIONS)]
+    elif cmd == "dual":
+        argv += ["--k", draw(SIZES), "--i", draw(SIZES), "--method",
+                 draw(st.sampled_from(["closed", "recursive", "both"]))]
+    elif cmd == "fpp":
+        argv += ["--k-max", draw(SIZES), "--n-max", draw(SIZES), "--m-range",
+                 draw(st.sampled_from(["-1:1", "0:3"]))]
+    else:
+        argv += ["--k", draw(SIZES), "--n", draw(SIZES)]
+        if cmd == "lefschetz":
+            argv += ["--m", draw(SIZES)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        pos = draw(st.integers(0, len(argv) - 1))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "delete":
+            del argv[pos]
+        else:
+            argv[pos:pos + (edit == "replace")] = [draw(TOKENS)]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(shaped_argv() | st.lists(TOKENS, max_size=8))
+def test_cli_argv_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv, out=out)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue() + out.getvalue()
+    text = out.getvalue()
+    if code != 0 or "eval" not in argv or text.startswith("usage:"):
+        return
+    args = cli._build_parser().parse_args(argv)
+    if args.command != "eval" or args.format != "text":
+        return
+    # both eval lines are expressions for the same Schur class
+    ctx = RingContext(args.k, args.n)
+    free_line, schur_line = text.split("\n")[:2]
+    assert schur_line.startswith("= ")
+    classes = [reduce_free(eval_expr(parse(line), ctx), ctx)
+               for line in (free_line, schur_line[2:])]
+    assert classes[0] == classes[1]

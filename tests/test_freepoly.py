@@ -5,10 +5,9 @@ from math import comb
 
 import pytest
 
-from grasscoh.freepoly import (AmbientMismatch, FreeClass, dual_class_closed,
-                               dual_class_recursive, dual_coefficient,
-                               render_free, total_chern)
-from grasscoh.obstruction import _lemma_coefficient
+from grasscoh.freepoly import (AmbientMismatch, FreeClass, closed_coefficient,
+                               dual_class_closed, dual_class_recursive,
+                               dual_coefficient, render_free, total_chern)
 from grasscoh.partitions import exponent_vectors_of_weight
 
 
@@ -39,6 +38,16 @@ class TestArithmetic:
         one = FreeClass.one(1)
         p = (one + c(1, 1)) * (one - c(1, 1))
         assert p == one - c(1, 1) * c(1, 1)
+
+    def test_monomial_power_matches_repeated_product(self):
+        for base in (c(3, 2), c(3, 1) * c(3, 3).scale(-2),
+                     FreeClass.monomial(2, (1, 1), Fraction(-3, 2)),
+                     FreeClass.one(2).scale(5), FreeClass.zero(2),
+                     c(2, 1) + c(2, 2)):
+            acc = FreeClass.one(base.k)
+            for e in range(6):
+                assert base.power(e) == acc, (base, e)
+                acc = acc * base
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
@@ -95,7 +104,7 @@ class TestDualClasses:
                 for alpha in exponent_vectors_of_weight(w, k):
                     got = dual_coefficient(alpha)
                     assert got == cbar.coeff(alpha), alpha
-                    assert got == _lemma_coefficient(alpha), alpha
+                    assert got == closed_coefficient(alpha), alpha
 
     def test_single_coefficient_large(self):
         # constant stack depth and an int result far past any recursion limit

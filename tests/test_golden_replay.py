@@ -144,7 +144,7 @@ def test_extra_cases():
 @pytest.mark.parametrize("target, attr, fake, argv", [
     (cli, "dual_class_recursive", lambda i, k: FreeClass.one(k),
      ["dual", "--k", "2", "--i", "3", "--method", "both"]),
-    (obstruction, "_lemma_coefficient", lambda alpha: 0,
+    (obstruction, "closed_coefficient", lambda alpha: 0,
      ["obstruct", "--k", "5", "--n", "10"]),
     (cli, "_selftest_suites", lambda: [("broken", lambda: False)],
      ["selftest"]),

@@ -1,16 +1,19 @@
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
 import grasscoh
 import grasscoh.cli  # noqa: F401  (imports every module that holds a memo)
-from grasscoh import _backend, freepoly, partitions, ring
+from grasscoh import partitions, ring
 from grasscoh.freepoly import dual_class_closed, dual_class_recursive
 from grasscoh.ring import RingContext, reduce_free
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def test_backend_name_reported():
-    assert _backend.backend_name() == "python"
+    assert grasscoh.backend_name() == "python"
 
 
 def package_memos():
@@ -26,9 +29,8 @@ def test_clear_caches_empties_every_memo():
     dual_class_recursive(5, 3)
     partitions.betti_numbers(3, 4)
     ring.giambelli((2, 1), 3)
-    named = {ring._reduce_monomial, ring._giambelli, freepoly._dual_recursive,
-             freepoly._dual_closed, partitions.count_in_box,
-             partitions._gaussian_binomial, _backend.kernel.vertical_strips}
+    named = {ring._reduce_monomial, ring._giambelli, partitions.count_in_box,
+             partitions._gaussian_binomial, ring.vertical_strips}
     memos = package_memos()
     assert named <= set(memos.values())
     assert all(fn.cache_info().currsize > 0 for fn in named)
@@ -55,3 +57,19 @@ def test_tracer_hooks_resolve():
     memos = [(prefix, tracer._resolve(module, None, attr)[1])
              for prefix, module, attr in tracer.MEMOS]
     assert [prefix for prefix, fn in memos if not hasattr(fn, "cache_info")] == []
+
+
+def test_tracer_kernel_binding_is_the_called_functions():
+    # the tracer swaps functions by identity: a copy would silently count 0
+    from grasscoh import _backend
+    assert _backend.kernel.vertical_strips is ring.vertical_strips
+    assert _backend.kernel.expvecs_of_weight is partitions.exponent_vectors_of_weight
+
+
+def test_package_does_not_import_the_tracer_binding():
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import grasscoh.cli; "
+             "print(sorted(m for m in ('grasscoh._backend', 'grasscoh._kernel_py') "
+             "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
