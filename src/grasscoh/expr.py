@@ -21,67 +21,24 @@ be evaluated in several contexts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
 from fractions import Fraction
 
-from .freepoly import FreeClass, dual_class_closed, render_free
+from .freepoly import FreeClass, dual_class_closed, render_free, wire_coeff
 from .ring import RingContext, SchurClass, lift, reduce_free
 
 
 # -- AST ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RationalLiteral:
-    value: object  # an int, or a Fraction for `a/b`
-
-
-@dataclass(frozen=True)
-class ChernGen:
-    index: int
-
-
-@dataclass(frozen=True)
-class DualGen:
-    index: int
-
-
-@dataclass(frozen=True)
-class SchurGen:
-    partition: tuple
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class Paren:
-    inner: object
+#
+# Nodes are tuples led by a tag:
+#   ("num", value)        an int, or a Fraction for `a/b`
+#   ("c", i)              the Chern generator c_i
+#   ("cbar", i)           the inverse-class component cbar(i)
+#   ("sigma", parts)      the Schur class of a tuple of parts
+#   ("+" | "-" | "*", left, right)
+#   ("^", base, exponent)
+#   ("neg", operand)
+#   ("()", inner)         kept, so printing a tree gives back its source
 
 
 class ParseError(ValueError):
@@ -179,14 +136,14 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            node = (op, node, rhs)
         return node
 
     def term(self):
         node = self.factor()
         while self.peek()[0] == "*":
             self.advance()
-            node = Mul(node, self.factor())
+            node = ("*", node, self.factor())
         return node
 
     def factor(self):
@@ -194,7 +151,7 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             exp = self.expect("NAT", "natural number")[1]
-            node = Pow(node, exp)
+            node = ("^", node, exp)
         return node
 
     def atom(self):
@@ -207,18 +164,18 @@ class _Parser:
                 den_tok = self.expect("NAT", "natural number")
                 if den_tok[1] == 0:
                     raise ParseError(den_tok[2], "denominator must be nonzero")
-                return RationalLiteral(Fraction(num, den_tok[1]))
-            return RationalLiteral(num)
+                return ("num", Fraction(num, den_tok[1]))
+            return ("num", num)
         if kind == "WORD":
             word = self.advance()[1]
             if word == "c":
                 idx = self.expect("NAT", "natural number")[1]
-                return ChernGen(idx)
+                return ("c", idx)
             if word == "cbar":
                 self.expect("(", "'('")
                 idx = self.expect("NAT", "natural number")[1]
                 self.expect(")", "')'")
-                return DualGen(idx)
+                return ("cbar", idx)
             # sigma
             self.expect("[", "'['")
             parts = []
@@ -228,16 +185,16 @@ class _Parser:
                     self.advance()
                     parts.append(self.expect("NAT", "natural number")[1])
             self.expect("]", "']'")
-            return SchurGen(tuple(parts))
+            return ("sigma", tuple(parts))
         if kind == "(":
             self.nest(self.advance())
             inner = self.expr()
             self.expect(")", "')'")
             self.depth -= 1
-            return Paren(inner)
+            return ("()", inner)
         if kind == "-":
             self.nest(self.advance())
-            node = Neg(self.atom())
+            node = ("neg", self.atom())
             self.depth -= 1
             return node
         raise ParseError(tok[2], "expected rational, 'c', 'cbar', 'sigma', "
@@ -252,19 +209,22 @@ def parse(src: str):
 
 # -- evaluation --------------------------------------------------------
 
+_INFIX = {"+": " + ", "-": " - ", "*": "*"}
+
+
 def eval_expr(node, ctx: RingContext) -> FreeClass:
     # walk the left spine of a binary chain in a loop, so a flat sum or
     # product of any length recurses only into its right operands
     spine = []
-    while isinstance(node, (Add, Sub, Mul)):
+    while node[0] in _INFIX:
         spine.append(node)
-        node = node.left
+        node = node[1]
     acc = _eval_operand(node, ctx)
-    for op in reversed(spine):
-        rhs = eval_expr(op.right, ctx)
-        if isinstance(op, Add):
+    for tag, _, right in reversed(spine):
+        rhs = eval_expr(right, ctx)
+        if tag == "+":
             acc = acc + rhs
-        elif isinstance(op, Sub):
+        elif tag == "-":
             acc = acc - rhs
         else:
             acc = acc * rhs
@@ -272,18 +232,18 @@ def eval_expr(node, ctx: RingContext) -> FreeClass:
 
 
 def _eval_operand(node, ctx: RingContext) -> FreeClass:
+    tag, arg = node[0], node[1]
     k = ctx.k
-    if isinstance(node, RationalLiteral):
-        return FreeClass.one(k).scale(node.value)
-    if isinstance(node, ChernGen):
-        if not 1 <= node.index <= k:
-            raise EvalError(f"generator index {node.index} out of range "
-                            f"[1, {k}]")
-        return FreeClass.generator(k, node.index)
-    if isinstance(node, DualGen):
-        return dual_class_closed(node.index, k)
-    if isinstance(node, SchurGen):
-        parts = node.partition
+    if tag == "num":
+        return FreeClass.one(k).scale(arg)
+    if tag == "c":
+        if not 1 <= arg <= k:
+            raise EvalError(f"generator index {arg} out of range [1, {k}]")
+        return FreeClass.generator(k, arg)
+    if tag == "cbar":
+        return dual_class_closed(arg, k)
+    if tag == "sigma":
+        parts = arg
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         try:
@@ -291,48 +251,46 @@ def _eval_operand(node, ctx: RingContext) -> FreeClass:
         except ValueError as exc:
             raise EvalError(str(exc)) from None
         return lift(schur)
-    if isinstance(node, Pow):
-        return eval_expr(node.base, ctx).power(node.exponent)
-    if isinstance(node, Neg):
-        return -eval_expr(node.operand, ctx)
-    if isinstance(node, Paren):
-        return eval_expr(node.inner, ctx)
+    if tag == "^":
+        return eval_expr(arg, ctx).power(node[2])
+    if tag == "neg":
+        return -eval_expr(arg, ctx)
+    if tag == "()":
+        return eval_expr(arg, ctx)
     raise EvalError(f"unknown node {node!r}")
 
 
 # -- rendering ---------------------------------------------------------
 
-_INFIX = {Add: " + ", Sub: " - ", Mul: "*"}
-
-
 def render_as_source(node) -> str:
     """Print an AST back to source text, one-to-one on the token level.
     Like eval_expr, it walks the left spine of a binary chain in a loop."""
     spine = []
-    while isinstance(node, (Add, Sub, Mul)):
+    while node[0] in _INFIX:
         spine.append(node)
-        node = node.left
+        node = node[1]
     pieces = [_render_operand(node)]
-    for op in reversed(spine):
-        pieces += (_INFIX[type(op)], render_as_source(op.right))
+    for tag, _, right in reversed(spine):
+        pieces += (_INFIX[tag], render_as_source(right))
     return "".join(pieces)
 
 
 def _render_operand(node) -> str:
-    if isinstance(node, RationalLiteral):
-        return str(node.value)
-    if isinstance(node, ChernGen):
-        return f"c{node.index}"
-    if isinstance(node, DualGen):
-        return f"cbar({node.index})"
-    if isinstance(node, SchurGen):
-        return f"sigma[{','.join(map(str, node.partition))}]"
-    if isinstance(node, Pow):
-        return f"{render_as_source(node.base)}^{node.exponent}"
-    if isinstance(node, Neg):
-        return f"-{render_as_source(node.operand)}"
-    if isinstance(node, Paren):
-        return f"({render_as_source(node.inner)})"
+    tag, arg = node[0], node[1]
+    if tag == "num":
+        return str(arg)
+    if tag == "c":
+        return f"c{arg}"
+    if tag == "cbar":
+        return f"cbar({arg})"
+    if tag == "sigma":
+        return f"sigma[{','.join(map(str, arg))}]"
+    if tag == "^":
+        return f"{render_as_source(arg)}^{node[2]}"
+    if tag == "neg":
+        return f"-{render_as_source(arg)}"
+    if tag == "()":
+        return f"({render_as_source(arg)})"
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -342,15 +300,12 @@ def render(x: FreeClass, ctx: RingContext, fmt: str = "text") -> str:
     if fmt == "text":
         return f"{render_free(x)}\n= {reduced}"
     if fmt == "json":
-        import json as _json
-        free = [{"alpha": list(a),
-                 "coeff": f"{c.numerator}/{c.denominator}"}
+        free = [{"alpha": list(a), "coeff": wire_coeff(c)}
                 for a, c in x.sorted_terms()]
-        return _json.dumps({"free": free, "schur": reduced.to_obj()})
+        return json.dumps({"free": free, "schur": reduced.to_obj()})
     if fmt == "csv":
         lines = ["partition,coeff"]
         for lam, c in reduced.sorted_terms():
-            lines.append(f"\"{' '.join(map(str, lam))}\","
-                         f"{c.numerator}/{c.denominator}")
+            lines.append(f"\"{' '.join(map(str, lam))}\",{wire_coeff(c)}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -31,6 +31,12 @@ def exact(c):
     return c if type(c) is int else Fraction(c)
 
 
+def wire_coeff(c) -> str:
+    """An exact coefficient as its JSON and CSV text: reduced `num/den`,
+    so an int c reads `c/1`."""
+    return f"{c.numerator}/{c.denominator}"
+
+
 def add_terms(a, b):
     """The sum of two term dicts, without zero coefficients."""
     terms = dict(a)

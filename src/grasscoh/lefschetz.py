@@ -7,9 +7,7 @@ problem and are deliberately not represented.
 
 from __future__ import annotations
 
-import io
-import csv
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .partitions import betti_numbers
 from .ring import GrassElement, RingContext, SchurClass
@@ -27,10 +25,10 @@ def lefschetz_number(m: int, ctx: RingContext) -> int:
     return sum((m ** i) * b for i, b in enumerate(betti_numbers(ctx.k, ctx.n)))
 
 
-@dataclass
-class PropositionReport:
-    cells_checked: int
-    counterexamples: list = field(default_factory=list)
+class PropositionReport(namedtuple("PropositionReport",
+                                   "cells_checked counterexamples",
+                                   defaults=((),))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -63,11 +61,9 @@ def in_classified_range(k: int, n: int) -> bool:
     return (k <= 3 and n > k) or (k > 3 and n >= 2 * k * k - k - 1)
 
 
-@dataclass(frozen=True)
-class FppVerdict:
-    status: str  # FPP | NoFPP | OutsideClassifiedRange
-    lefschetz_table: dict
-    range_rule: str = CLASSIFIED_RANGE_RULE
+# status is FPP, NoFPP or OutsideClassifiedRange
+FppVerdict = namedtuple("FppVerdict", "status lefschetz_table range_rule",
+                        defaults=(CLASSIFIED_RANGE_RULE,))
 
 
 def fpp_classification(k: int, n: int, m_range=range(-5, 6)) -> FppVerdict:
@@ -84,16 +80,13 @@ def fpp_classification(k: int, n: int, m_range=range(-5, 6)) -> FppVerdict:
 
 def sweep_csv(k_max: int, n_max: int, m_range=range(-5, 6)) -> str:
     """CSV sweep over the (k,n,m) grid, rows in lexicographic order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "n", "m", "lefschetz", "kn_parity",
-                     "in_classified_range", "verdict"])
+    rows = ["k,n,m,lefschetz,kn_parity,in_classified_range,verdict\n"]
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):
             verdict = fpp_classification(k, n, m_range)
             parity = "odd" if (k * n) % 2 else "even"
-            in_range = in_classified_range(k, n)
+            in_range = str(in_classified_range(k, n)).lower()
             for m in sorted(m_range):
-                writer.writerow([k, n, m, verdict.lefschetz_table[m],
-                                 parity, str(in_range).lower(), verdict.status])
-    return buf.getvalue()
+                rows.append(f"{k},{n},{m},{verdict.lefschetz_table[m]},"
+                            f"{parity},{in_range},{verdict.status}\n")
+    return "".join(rows)

@@ -17,8 +17,7 @@ recursion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import namedtuple
 
 from .freepoly import closed_coefficient, dual_coefficient
 from .partitions import weight
@@ -40,15 +39,13 @@ class HypothesisError(ValueError):
     """The theorem requires 1 < k < n."""
 
 
-@dataclass
-class Certificate:
-    case_tag: str
-    k: int
-    n: int
-    witness_monomial: Optional[tuple] = None
-    witness_coefficient: Optional[int] = None
-    search_log: Optional[dict] = None
-    assumptions: list = field(default_factory=list)
+class Certificate(namedtuple(
+        "Certificate", "case_tag k n witness_monomial witness_coefficient "
+                       "search_log assumptions",
+        defaults=(None, None, None, ()))):
+    """The case of (k, n), its witness monomial and coefficient or its
+    search log, and the assumption tags it rests on.  Immutable."""
+    __slots__ = ()
 
     def to_obj(self):
         coeff = self.witness_coefficient

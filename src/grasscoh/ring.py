@@ -14,22 +14,23 @@ input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
-from .freepoly import AmbientMismatch, FreeClass, add_terms, exact, render_terms
+from .freepoly import (AmbientMismatch, FreeClass, add_terms, exact, render_terms,
+                       wire_coeff)
 from .partitions import conjugate
 
 
-@dataclass(frozen=True)
-class RingContext:
-    """Ambient Grassmannian G(k,n): k-planes in C^(k+n)."""
-    k: int
-    n: int
+class RingContext(namedtuple("RingContext", "k n")):
+    """Ambient Grassmannian G(k,n): k-planes in C^(k+n).  An immutable
+    (k, n) pair; it equals and hashes as the plain tuple."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1 or self.n < 1:
+    def __new__(cls, k, n):
+        if k < 1 or n < 1:
             raise ValueError("k and n must be positive")
+        return super().__new__(cls, k, n)
 
     @property
     def top_partition(self):
@@ -103,7 +104,7 @@ class SchurClass:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def to_obj(self):
-        return [{"partition": list(lam), "coeff": f"{c.numerator}/{c.denominator}"}
+        return [{"partition": list(lam), "coeff": wire_coeff(c)}
                 for lam, c in self.sorted_terms()]
 
     def to_json(self) -> str:
@@ -197,16 +198,30 @@ def reduce_free(p: FreeClass, ctx: RingContext) -> SchurClass:
     return act(p, SchurClass(ctx, {(): 1}))
 
 
-@dataclass(frozen=True)
 class GrassElement:
     """Ring element held as its canonical Schur class; equality, hash and
-    repr are those of the (context, class) pair."""
-    context: RingContext
-    reduced: SchurClass
+    repr are those of the (context, class) pair.  Immutable."""
+    __slots__ = ("context", "reduced")
 
-    def __post_init__(self):
-        if self.reduced.context != self.context:
-            raise ContextMismatch(f"{self.reduced.context} != {self.context}")
+    def __init__(self, context, reduced):
+        if reduced.context != context:
+            raise ContextMismatch(f"{reduced.context} != {context}")
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "reduced", reduced)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to GrassElement.{name}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.context == other.context and self.reduced == other.reduced
+
+    def __hash__(self):
+        return hash((self.context, self.reduced))
+
+    def __repr__(self):
+        return f"GrassElement(context={self.context!r}, reduced={self.reduced!r})"
 
     @classmethod
     def from_schur(cls, context, schur: SchurClass):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from grasscoh.freepoly import FreeClass, dual_class_closed, total_chern
 from grasscoh.lefschetz import apply_adams
-from grasscoh.obstruction import nontrivial_intersection_report
+from grasscoh.obstruction import Certificate, nontrivial_intersection_report
 from grasscoh.partitions import partitions_in_box, weight
 from grasscoh.ring import (ContextMismatch, GrassElement, RingContext,
                            SchurClass, act, complement, giambelli, integrate,
@@ -294,6 +294,33 @@ class TestSerialization:
         s = SchurClass(ctx, {(1, 1): 1, (2,): 1, (3, 1): Fraction(1, 2)})
         obj = s.to_obj()
         assert [t["partition"] for t in obj] == [[3, 1], [2], [1, 1]]
+
+
+def test_value_type_contracts():
+    ctx = RingContext(2, 3)
+    assert repr(ctx) == "RingContext(k=2, n=3)"
+    assert ctx == RingContext(k=2, n=3) and hash(ctx) == hash((2, 3))
+    with pytest.raises(AttributeError):
+        ctx.k = 5
+    with pytest.raises(ValueError):
+        RingContext(0, 3)
+
+    x = GrassElement.from_schur(ctx, sigma(ctx, (1,)))
+    y = GrassElement(ctx, sigma(ctx, (1,)))
+    assert x == y and hash(x) == hash(y)
+    assert x != GrassElement(ctx, sigma(ctx, (2,)))
+    with pytest.raises(AttributeError):
+        x.reduced = sigma(ctx, (2,))
+    with pytest.raises(TypeError):
+        x + y
+    with pytest.raises(TypeError):
+        len(x)
+
+    cert = Certificate(case_tag="Case1", k=2, n=3, witness_monomial=(3, 0))
+    assert (cert.witness_coefficient, cert.search_log) == (None, None)
+    assert cert.to_obj() == {"case": "Case1", "k": 2, "n": 3,
+                             "witness": {"alpha": [3, 0]}, "coefficient": None,
+                             "assumptions": [], "search_log": None}
 
 
 PROPERTY_RINGS = [(1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (4, 2)]
