@@ -1,13 +1,8 @@
-"""Command-line surface.
-
-Exit codes: 0 success, 1 usage or parse error, 2 evaluation error,
-3 selftest or certificate failure.  Diagnostics go to stderr, results to
-stdout.
-"""
+"""Command-line surface: one table of subcommands, `_COMMANDS`, read by
+`_parse`.  Diagnostics go to stderr, results to stdout."""
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -23,54 +18,26 @@ EXIT_USAGE = 1
 EXIT_EVAL = 2
 EXIT_CHECK = 3
 
+USAGE = """\
+usage: grasscoh [--format text|json|csv] <subcommand> [options]
+
+  eval      --k K --n N EXPR          evaluate EXPR in G(k,n)
+  dual      --k K --i I [--method closed|recursive|both]
+                                      inverse total-class component cbar_i
+  betti     --k K --n N               box-partition Betti numbers
+  lefschetz --k K --n N --m M         Lefschetz number of the degree-m
+                                      Adams endomorphism
+  fpp       --k-max A --n-max B [--m-range LO:HI]
+                                      fixed-point-property sweep over
+                                      degrees LO..HI (default -5:5)
+  obstruct  --k K --n N               nontrivial-intersection certificate
+  selftest                            desk-scale invariant suites
+
+Exit codes: 0 success, 1 usage or parse error, 2 evaluation error, 3 check failed."""
+
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="grasscoh",
-                description="Exact Schubert-calculus engine for H*(G(k,n); Q)")
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("eval", help="evaluate an expression in G(k,n)")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("expression")
-
-    sp = sub.add_parser("dual", help="inverse total-class component cbar_i")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--i", type=int, required=True)
-    sp.add_argument("--method", choices=["closed", "recursive", "both"],
-                    default="closed")
-
-    sp = sub.add_parser("betti", help="box-partition Betti numbers")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = sub.add_parser("lefschetz", help="Lefschetz number of the degree-m "
-                                          "Adams endomorphism")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-
-    sp = sub.add_parser("fpp", help="fixed-point-property sweep")
-    sp.add_argument("--k-max", type=int, required=True)
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--m-range", default="-5:5")
-
-    sp = sub.add_parser("obstruct", help="nontrivial-intersection certificate")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-
-    sub.add_parser("selftest", help="run the desk-scale invariant suites")
-    return p
 
 
 def _parse_m_range(text: str):
@@ -84,32 +51,32 @@ def _parse_m_range(text: str):
     return range(lo, hi + 1)
 
 
-def _cmd_eval(args, out) -> int:
+def _cmd_eval(out, fmt, k, n, expression) -> int:
     try:
-        ast = parse(args.expression)
+        ast = parse(expression)
     except ParseError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     try:
-        ctx = RingContext(args.k, args.n)
+        ctx = RingContext(k, n)
         value = eval_expr(ast, ctx)
     except (EvalError, ValueError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVAL
-    print(render(value, ctx, args.format), file=out)
+    print(render(value, ctx, fmt), file=out)
     return EXIT_OK
 
 
-def _cmd_dual(args, out) -> int:
-    if args.k < 1 or args.i < 0:
+def _cmd_dual(out, fmt, k, i, method) -> int:
+    if k < 1 or i < 0:
         print("evaluation error: need k >= 1 and i >= 0", file=sys.stderr)
         return EXIT_EVAL
-    closed = dual_class_closed(args.i, args.k)
-    if args.method == "closed":
+    closed = dual_class_closed(i, k)
+    if method == "closed":
         print(render_free(closed), file=out)
         return EXIT_OK
-    recursive = dual_class_recursive(args.i, args.k)
-    if args.method == "recursive":
+    recursive = dual_class_recursive(i, k)
+    if method == "recursive":
         print(render_free(recursive), file=out)
         return EXIT_OK
     print(f"closed:    {render_free(closed)}", file=out)
@@ -121,15 +88,15 @@ def _cmd_dual(args, out) -> int:
     return EXIT_CHECK
 
 
-def _cmd_betti(args, out) -> int:
-    if args.k < 1 or args.n < 1:
+def _cmd_betti(out, fmt, k, n) -> int:
+    if k < 1 or n < 1:
         print("evaluation error: need k, n >= 1", file=sys.stderr)
         return EXIT_EVAL
-    betti = betti_numbers(args.k, args.n)
-    if args.format == "json":
-        print(json.dumps({"k": args.k, "n": args.n, "betti": betti,
+    betti = betti_numbers(k, n)
+    if fmt == "json":
+        print(json.dumps({"k": k, "n": n, "betti": betti,
                           "total": sum(betti)}), file=out)
-    elif args.format == "csv":
+    elif fmt == "csv":
         print("i,betti", file=out)
         for i, b in enumerate(betti):
             print(f"{i},{b}", file=out)
@@ -140,48 +107,48 @@ def _cmd_betti(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_lefschetz(args, out) -> int:
-    if args.k < 1 or args.n < 1:
+def _cmd_lefschetz(out, fmt, k, n, m) -> int:
+    if k < 1 or n < 1:
         print("evaluation error: need k, n >= 1", file=sys.stderr)
         return EXIT_EVAL
-    lef = lefschetz_number(args.m, RingContext(args.k, args.n))
-    if args.format == "json":
-        print(json.dumps({"k": args.k, "n": args.n, "m": args.m,
+    lef = lefschetz_number(m, RingContext(k, n))
+    if fmt == "json":
+        print(json.dumps({"k": k, "n": n, "m": m,
                           "lefschetz": str(lef)}), file=out)
     else:
         print(lef, file=out)
     return EXIT_OK
 
 
-def _cmd_fpp(args, out) -> int:
-    m_range = _parse_m_range(args.m_range)
-    if args.k_max < 1 or args.n_max < 1:
+def _cmd_fpp(out, fmt, k_max, n_max, m_range) -> int:
+    m_range = _parse_m_range(m_range)
+    if k_max < 1 or n_max < 1:
         print("evaluation error: need positive bounds", file=sys.stderr)
         return EXIT_EVAL
-    if args.format == "json":
+    if fmt == "json":
         rows = []
-        for k in range(1, args.k_max + 1):
-            for n in range(1, args.n_max + 1):
+        for k in range(1, k_max + 1):
+            for n in range(1, n_max + 1):
                 verdict = fpp_classification(k, n, m_range)
                 rows.append({"k": k, "n": n, "status": verdict.status,
                              "lefschetz": {str(m): verdict.lefschetz_table[m]
                                            for m in m_range}})
         print(json.dumps(rows), file=out)
     else:
-        out.write(sweep_csv(args.k_max, args.n_max, m_range))
+        out.write(sweep_csv(k_max, n_max, m_range))
     return EXIT_OK
 
 
-def _cmd_obstruct(args, out) -> int:
+def _cmd_obstruct(out, fmt, k, n) -> int:
     try:
-        cert = obstruction.nontrivial_intersection_report(args.k, args.n)
+        cert = obstruction.nontrivial_intersection_report(k, n)
     except obstruction.HypothesisError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVAL
     except AssertionError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    if args.format == "text":
+    if fmt == "text":
         obj = cert.to_obj()
         print(f"case: {obj['case']}  (k={obj['k']}, n={obj['n']})", file=out)
         if obj["witness"] is not None:
@@ -203,47 +170,31 @@ def _selftest_suites():
     from .freepoly import total_chern
 
     def lemma_equivalence():
-        for k in range(1, 5):
-            for i in range(9):
-                if dual_class_closed(i, k) != dual_class_recursive(i, k):
-                    return False
-        return True
+        return all(dual_class_closed(i, k) == dual_class_recursive(i, k)
+                   for k in range(1, 5) for i in range(9))
 
     def x_beta_identity():
-        for k in range(1, 5):
-            for w in range(1, 7):
-                for beta in exponent_vectors_of_weight(w, k):
-                    total = 0
-                    for i, b in enumerate(beta):
-                        if b:
-                            shifted = list(beta)
-                            shifted[i] -= 1
-                            total += multinomial(shifted)
-                    if total != multinomial(beta):
-                        return False
-        return True
+        # |beta|!/beta! is the sum of |beta - e_i|!/(beta - e_i)! over beta_i > 0
+        return all(sum(multinomial(beta[:i] + (b - 1,) + beta[i + 1:])
+                       for i, b in enumerate(beta) if b) == multinomial(beta)
+                   for k in range(1, 5) for w in range(1, 7)
+                   for beta in exponent_vectors_of_weight(w, k))
 
     def ideal_relations():
-        for k in range(1, 4):
-            for n in range(k + 1, 6):
-                ctx = RingContext(k, n)
-                for j in range(1, k + 1):
-                    if not reduce_free(dual_class_closed(n + j, k), ctx).is_zero():
-                        return False
-        return True
+        return all(reduce_free(dual_class_closed(n + j, k), RingContext(k, n)).is_zero()
+                   for k in range(1, 4) for n in range(k + 1, 6)
+                   for j in range(1, k + 1))
 
     def whitney():
         for k in range(1, 4):
             for n in range(k + 1, 6):
                 ctx = RingContext(k, n)
-                total = total_chern(k)
                 dual = sum((dual_class_closed(i, k) for i in range(1, n + 1)),
                            start=dual_class_closed(0, k))
-                prod = total * dual
-                for j in range(1, n + k + 1):
-                    comp = prod.homogeneous_component(j)
-                    if not reduce_free(comp, ctx).is_zero():
-                        return False
+                prod = total_chern(k) * dual
+                if not all(reduce_free(prod.homogeneous_component(j), ctx).is_zero()
+                           for j in range(1, n + k + 1)):
+                    return False
         return True
 
     def betti_counts():
@@ -273,13 +224,9 @@ def _selftest_suites():
         return True
 
     def conjugate_involution():
-        for k in range(1, 5):
-            for n in range(1, 5):
-                for i in range(k * n + 1):
-                    for lam in partitions_in_box(i, k, n):
-                        if conjugate(conjugate(lam)) != lam:
-                            return False
-        return True
+        return all(conjugate(conjugate(lam)) == lam
+                   for k in range(1, 5) for n in range(1, 5)
+                   for i in range(k * n + 1) for lam in partitions_in_box(i, k, n))
 
     return [
         ("lemma-equivalence", lemma_equivalence),
@@ -293,7 +240,7 @@ def _selftest_suites():
     ]
 
 
-def _cmd_selftest(args, out) -> int:
+def _cmd_selftest(out, fmt) -> int:
     failures = 0
     print(f"backend: {backend_name()}", file=out)
     for name, fn in _selftest_suites():
@@ -304,15 +251,73 @@ def _cmd_selftest(args, out) -> int:
     return EXIT_OK if failures == 0 else EXIT_CHECK
 
 
+# subcommand: (handler, its int options, all required; its other options
+# with their defaults; whether it takes EXPR)
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "dual": _cmd_dual,
-    "betti": _cmd_betti,
-    "lefschetz": _cmd_lefschetz,
-    "fpp": _cmd_fpp,
-    "obstruct": _cmd_obstruct,
-    "selftest": _cmd_selftest,
+    "eval": (_cmd_eval, ("k", "n"), {}, True),
+    "dual": (_cmd_dual, ("k", "i"), {"method": "closed"}, False),
+    "betti": (_cmd_betti, ("k", "n"), {}, False),
+    "lefschetz": (_cmd_lefschetz, ("k", "n", "m"), {}, False),
+    "fpp": (_cmd_fpp, ("k-max", "n-max"), {"m-range": "-5:5"}, False),
+    "obstruct": (_cmd_obstruct, ("k", "n"), {}, False),
+    "selftest": (_cmd_selftest, (), {}, False),
 }
+
+
+# the options that take one of a few words
+_CHOICES = {"format": ("text", "json", "csv"),
+            "method": ("closed", "recursive", "both")}
+
+
+def _option(token, tokens, ints, others):
+    """(name, value) of one option, `--name=value` or `--name value`: an
+    int if the name is in ints, else a string, one of its _CHOICES if it
+    has them."""
+    name, eq, value = token[2:].partition("=")
+    if name not in ints and name not in others:
+        raise _UsageError(f"unknown option --{name}")
+    if not eq:
+        value = next(tokens, None)
+        if value is None:
+            raise _UsageError(f"--{name} needs a value")
+    if name in ints:
+        try:
+            return name, int(value)
+        except ValueError:
+            raise _UsageError(f"--{name}: invalid int {value!r}")
+    if name in _CHOICES and value not in _CHOICES[name]:
+        raise _UsageError(f"bad --{name} {value!r}")
+    return name, value
+
+
+def _parse(argv):
+    """(subcommand, keyword arguments of its handler) read from argv
+    against _COMMANDS; the README lists the argv forms it accepts."""
+    tokens = iter(argv)
+    fmt, command = "text", next(tokens, None)
+    while command is not None and command.startswith("--"):
+        _, fmt = _option(command, tokens, (), ("format",))
+        command = next(tokens, None)
+    if command not in _COMMANDS:
+        raise _UsageError(f"unknown subcommand {command!r}")
+    _, ints, others, takes_expr = _COMMANDS[command]
+    values, words = dict(others, fmt=fmt), []
+    for token in tokens:
+        if token == "--":
+            words += tokens
+        elif token.startswith("--"):
+            name, value = _option(token, tokens, ints, others)
+            values[name] = value
+        else:
+            words.append(token)
+    missing = [f"--{name}" for name in ints if name not in values]
+    if missing:
+        raise _UsageError(f"{command} needs {' '.join(missing)}")
+    if len(words) != takes_expr:
+        raise _UsageError(f"{command} takes {int(takes_expr)} EXPR, got {words}")
+    if takes_expr:
+        values["expression"] = words[0]
+    return command, {name.replace("-", "_"): value for name, value in values.items()}
 
 
 def run_cli(argv, out=None) -> int:
@@ -321,26 +326,15 @@ def run_cli(argv, out=None) -> int:
     # later cap int <-> str conversion at 4,300 digits by default)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
-    # merge "--m-range -5:5" into one token so argparse does not mistake
-    # the leading minus for an option
-    merged = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--m-range" and i + 1 < len(argv):
-            merged.append(f"--m-range={argv[i + 1]}")
-            i += 2
-        else:
-            merged.append(argv[i])
-            i += 1
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, file=out)
+        return EXIT_OK
     try:
-        args = parser.parse_args(merged)
-        return _COMMANDS[args.command](args, out)
+        command, kwargs = _parse(argv)
+        return _COMMANDS[command][0](out, **kwargs)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SystemExit as exc:  # argparse exits after printing -h/--help
-        return exc.code or EXIT_OK
 
 
 def main() -> None:

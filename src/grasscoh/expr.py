@@ -22,7 +22,6 @@ be evaluated in several contexts.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .freepoly import FreeClass, dual_class_closed, render_free, wire_coeff
 from .ring import RingContext, SchurClass, lift, reduce_free
@@ -164,6 +163,7 @@ class _Parser:
                 den_tok = self.expect("NAT", "natural number")
                 if den_tok[1] == 0:
                     raise ParseError(den_tok[2], "denominator must be nonzero")
+                from fractions import Fraction
                 return ("num", Fraction(num, den_tok[1]))
             return ("num", num)
         if kind == "WORD":

@@ -11,8 +11,6 @@ formula; the two must agree (tested, not assumed).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .partitions import exponent_vectors_of_weight, multinomial, size, weight
 
 
@@ -28,7 +26,10 @@ def term_sort_key(alpha):
 def exact(c):
     """An exact coefficient: an int stays an int, anything else becomes a
     Fraction (ValueError or TypeError if it cannot)."""
-    return c if type(c) is int else Fraction(c)
+    if type(c) is int:
+        return c
+    from fractions import Fraction
+    return Fraction(c)
 
 
 def wire_coeff(c) -> str:
@@ -169,11 +170,12 @@ class FreeClass:
             out = out * self
         return out
 
-    def evaluate(self, values) -> Fraction:
+    def evaluate(self, values):
         """Substitute c_i := values[i-1] (exact rationals)."""
         if len(values) != self.k:
             raise AmbientMismatch(
                 f"value vector length {len(values)} != ambient {self.k}")
+        from fractions import Fraction
         vals = [Fraction(v) for v in values]
         total = Fraction(0)
         for alpha, c in self.terms.items():

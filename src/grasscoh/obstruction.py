@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from math import isqrt
 
 from .freepoly import closed_coefficient, dual_coefficient
 from .partitions import weight
@@ -178,8 +179,10 @@ def case2ii_certificate(k: int, n: int) -> Certificate:
 
 
 def _divisors(n: int):
+    """The positive divisors of |n| in ascending order, paired up to sqrt|n|."""
     n = abs(n)
-    return [d for d in range(1, n + 1) if n % d == 0]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _case4_magnitudes(l: int):

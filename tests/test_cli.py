@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +14,8 @@ from grasscoh.cli import run_cli
 from grasscoh.expr import eval_expr, parse
 from grasscoh.partitions import betti_numbers
 from grasscoh.ring import RingContext, SchurClass, reduce_free
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -42,6 +48,15 @@ class TestEval:
         unit = run(["eval", "--k", "2", "--n", "3", "sigma[2,1]^0"])
         assert unit == (0, "1\n= 1*sigma[]\n")
         assert run(["eval", "--k", "2", "--n", "3", "1*sigma[]"]) == unit
+
+    # a token that does not start with `--` is EXPR, even with a leading minus
+    @pytest.mark.parametrize("expression, out", [
+        ("-c1", "- 1*c1\n= - 1*sigma[1]\n"),
+        ("-1/2", "- 1/2\n= - 1/2*sigma[]\n"),
+        ("-sigma[1]", "- 1*c1\n= - 1*sigma[1]\n"),
+    ])
+    def test_leading_minus(self, expression, out):
+        assert run(["eval", "--k", "2", "--n", "3", expression]) == (0, out)
 
 
 class TestDual:
@@ -232,6 +247,119 @@ class TestTotality:
         assert out.startswith("usage: grasscoh")
 
 
+# -- the argv contract: (argv, exit code, stdout) --
+
+BETTI_1_1 = "b_0 = 1\nb_1 = 1\ntotal = 2\n"
+SIGMA_3 = "1*c1^3 - 2*c1*c2\n= 1*sigma[3]\n"
+C2 = "1*c2\n= 1*sigma[1,1]\n"
+FPP_1_1 = ("k,n,m,lefschetz,kn_parity,in_classified_range,verdict\n"
+           + "".join(f"1,1,{m},{m + 1},odd,false,OutsideClassifiedRange\n"
+                     for m in (-1, 0, 1)))
+FPP = ["fpp", "--k-max", "1", "--n-max", "1"]
+
+# forms that read as they did when argparse parsed argv
+KEPT_ARGV = [
+    (["betti", "--k", "1", "--n", "1"], 0, BETTI_1_1),
+    (["betti", "--k=1", "--n=1"], 0, BETTI_1_1),
+    # options in any order, EXPR before, between or after them
+    (["eval", "--n", "3", "--k", "2", "sigma[3]"], 0, SIGMA_3),
+    (["eval", "sigma[3]", "--k", "2", "--n", "3"], 0, SIGMA_3),
+    (["eval", "--k", "2", "sigma[3]", "--n=3"], 0, SIGMA_3),
+    # the last of a repeated option wins
+    (["eval", "--k", "1", "--n", "3", "--k", "2", "c2"], 0, C2),
+    (["--format", "json", "--format", "text", "betti", "--k", "1", "--n", "1"],
+     0, BETTI_1_1),
+    # negative values, with and without `=`
+    (["lefschetz", "--k", "1", "--n", "2", "--m", "-2"], 0, "3\n"),
+    (["lefschetz", "--k", "1", "--n", "2", "--m=-2"], 0, "3\n"),
+    (FPP + ["--m-range", "-1:1"], 0, FPP_1_1),
+    (FPP + ["--m-range=-1:1"], 0, FPP_1_1),
+    # `--` ends the options
+    (["eval", "--k", "2", "--n", "3", "--", "-c1"], 0, "- 1*c1\n= - 1*sigma[1]\n"),
+    (["eval", "--k", "2", "--", "--n", "3", "c1"], 1, ""),
+    # --format only before the subcommand
+    (["--format", "json", "betti", "--k", "1", "--n", "1"], 0,
+     '{"k": 1, "n": 1, "betti": [1, 1], "total": 2}\n'),
+    (["betti", "--format", "json", "--k", "1", "--n", "1"], 1, ""),
+    (["eval", "--format", "json", "--k", "2", "--n", "3", "c1"], 1, ""),
+    # ints as int() reads them
+    (["betti", "--k", " 1", "--n", "+1"], 0, BETTI_1_1),
+    (["betti", "--k", "0_1", "--n", "1"], 0, BETTI_1_1),
+    (["betti", "--k", "x", "--n", "1"], 1, ""),
+    # a missing value, option or EXPR
+    (["betti", "--k", "1", "--n"], 1, ""),
+    (["--format"], 1, ""),
+    (["betti", "--k", "1"], 1, ""),
+    (["eval", "--k", "2", "--n", "3"], 1, ""),
+    # an extra argument
+    (["betti", "--k", "1", "--n", "1", "x"], 1, ""),
+    (["eval", "--k", "2", "--n", "3", "c1", "c2"], 1, ""),
+    (["selftest", "x"], 1, ""),
+    # an unknown option, or a single-dash one
+    (["betti", "--k", "1", "--n", "1", "--m", "2"], 1, ""),
+    (["--bogus", "betti", "--k", "1", "--n", "1"], 1, ""),
+    (["betti", "-k", "1", "--n", "1"], 1, ""),
+    (["eval", "-k", "2", "--n", "3", "c1"], 1, ""),
+    # no or an unknown subcommand
+    ([], 1, ""),
+    (["--format", "json"], 1, ""),
+    (["frobnicate"], 1, ""),
+    # bad --format, --method and --m-range values, before any other check
+    (["--format", "xml", "betti", "--k", "1", "--n", "1"], 1, ""),
+    (["dual", "--k", "0", "--i", "1", "--method", "fast"], 1, ""),
+    (FPP + ["--m-range", "1:0"], 1, ""),
+    (FPP + ["--m-range", "1:2:3"], 1, ""),
+    (["fpp", "--k-max", "0", "--n-max", "1", "--m-range", "x"], 1, ""),
+]
+
+# forms that changed when the table-driven parser replaced argparse; the
+# leading-minus EXPR is TestEval.test_leading_minus
+CHANGED_ARGV = [
+    # -h or --help anywhere prints USAGE
+    (["-h"], 0, cli.USAGE + "\n"),
+    (["betti", "--k", "1", "--help"], 0, cli.USAGE + "\n"),
+    (["frobnicate", "-h"], 0, cli.USAGE + "\n"),
+    # no abbreviated options
+    (["--form", "json", "betti", "--k", "1", "--n", "1"], 1, ""),
+    (["dual", "--k", "2", "--i", "1", "--meth", "both"], 1, ""),
+    (["fpp", "--k-m", "1", "--n-max", "1"], 1, ""),
+    (["fpp", "--k", "1", "--n", "1"], 1, ""),
+    # a `--` with nothing after it, also where there is no EXPR
+    (["betti", "--k", "1", "--n", "1", "--"], 0, BETTI_1_1),
+    # int() reads every value, also a negative one with an underscore
+    (["lefschetz", "--k", "1", "--n", "2", "--m", "-0_2"], 0, "3\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out", KEPT_ARGV)
+def test_argv_contract_kept(argv, code, out):
+    assert run_checked(argv) == (code, out)
+
+
+@pytest.mark.parametrize("argv, code, out", CHANGED_ARGV)
+def test_argv_contract_changed(argv, code, out):
+    assert run_checked(argv) == (code, out)
+
+
+def test_module_entry_point():
+    # main() and its sys.exit, through a fresh interpreter
+    def grasscoh(*argv):
+        done = subprocess.run([sys.executable, "-m", "grasscoh.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        return done.returncode, done.stdout
+
+    assert grasscoh("--help") == (0, cli.USAGE + "\n")
+    assert grasscoh() == (1, "")
+    assert grasscoh("betti", "--k", "1", "--n", "1") == (0, BETTI_1_1)
+
+
+def test_usage_is_the_readme_cli_block():
+    readme = (SRC.parent / "README.md").read_text()
+    assert f"```text\n{cli.USAGE}\n```" in readme
+    assert all(f"\n  {name} " in cli.USAGE for name in cli._COMMANDS)
+
+
 # -- argv fuzz: a bounded token alphabet, k and n <= 4, exponents <= 3 --
 
 SIZES = st.sampled_from(["1", "2", "3", "4"])
@@ -298,11 +426,11 @@ def test_cli_argv_fuzz(argv):
     text = out.getvalue()
     if code != 0 or "eval" not in argv or text.startswith("usage:"):
         return
-    args = cli._build_parser().parse_args(argv)
-    if args.command != "eval" or args.format != "text":
+    command, kwargs = cli._parse(argv)
+    if command != "eval" or kwargs["fmt"] != "text":
         return
     # both eval lines are expressions for the same Schur class
-    ctx = RingContext(args.k, args.n)
+    ctx = RingContext(kwargs["k"], kwargs["n"])
     free_line, schur_line = text.split("\n")[:2]
     assert schur_line.startswith("= ")
     classes = [reduce_free(eval_expr(parse(line), ctx), ctx)

@@ -1,11 +1,12 @@
 import json
+from math import prod
 
 import pytest
 
 from grasscoh.freepoly import dual_class_closed
 from grasscoh.obstruction import (CASE1, CASE2I, CASE2II, CASE2III, CASE2IV,
                                   Certificate, HypothesisError,
-                                  _case2iii_single, _case2iv_single,
+                                  _case2iii_single, _case2iv_single, _divisors,
                                   case1_certificate, case2i_certificate,
                                   case2ii_certificate, dispatch_case,
                                   nontrivial_intersection_report)
@@ -164,6 +165,24 @@ class TestDiophantine:
         assert entry["magnitudes"] == {"alpha*alpha'": 7, "alpha*beta": 10,
                                        "theta*beta": 4, "gamma*beta": 5}
         assert entry["solutions"] == []
+
+    def test_divisors_match_trial_division(self):
+        for n in range(2001):
+            assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+        assert _divisors(-12) == [1, 2, 3, 4, 6, 12]
+
+    @pytest.mark.parametrize("factors", [
+        {2: 9, 5: 9},              # 10^9
+        {3: 4, 37: 1, 333667: 1},  # 10^9 - 1
+        {10 ** 9 + 7: 1},          # a prime
+        {2: 2, 97: 2, 163: 2},     # 31622^2, a square
+    ])
+    def test_divisors_near_1e9(self, factors):
+        # every product of prime powers, against the square-root pairing
+        divisors = [1]
+        for p, e in factors.items():
+            divisors = [d * p ** i for d in divisors for i in range(e + 1)]
+        assert _divisors(prod(p ** e for p, e in factors.items())) == sorted(divisors)
 
 
 class TestWitnessInvariants:

@@ -67,10 +67,11 @@ def test_tracer_kernel_binding_is_the_called_functions():
 
 
 def test_package_does_not_import_the_tracer_binding():
-    # nor the record machinery: records are namedtuples and plain classes
-    # (argparse and json are still imported on purpose)
+    # nor the record machinery: records are namedtuples and plain classes;
+    # nor argparse, nor fractions, which only a rational input needs
+    # (json is still imported on purpose)
     modules = ("grasscoh._backend", "grasscoh._kernel_py",
-               "dataclasses", "inspect", "typing", "csv")
+               "dataclasses", "inspect", "typing", "csv", "argparse", "fractions")
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import grasscoh.cli; "
              "print(sorted(m for m in sys.argv[2:] if m in sys.modules))")
     done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC),
