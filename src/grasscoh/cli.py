@@ -1,13 +1,15 @@
 """Command-line surface: one table of subcommands, `_COMMANDS`, read by
-`_parse`.  Diagnostics go to stderr, results to stdout."""
+`_parse`.  Handlers print results to stdout and raise on failure;
+`run_cli` alone turns an exception into a stderr line and an exit code."""
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 from . import backend_name, obstruction
-from .expr import EvalError, ParseError, eval_expr, parse, render
+from .expr import ParseError, eval_expr, parse, render
 from .freepoly import dual_class_closed, dual_class_recursive, render_free
 from .lefschetz import fpp_classification, lefschetz_number, proposition_check, sweep_csv
 from .partitions import betti_numbers, total_boxes_count
@@ -33,6 +35,9 @@ usage: grasscoh [--format text|json|csv] <subcommand> [options]
   obstruct  --k K --n N               nontrivial-intersection certificate
   selftest                            desk-scale invariant suites
 
+Formats: text, json or csv for eval, betti and fpp; text or json for
+lefschetz and obstruct; text only for dual and selftest.
+
 Exit codes: 0 success, 1 usage or parse error, 2 evaluation error, 3 check failed."""
 
 
@@ -51,48 +56,33 @@ def _parse_m_range(text: str):
     return range(lo, hi + 1)
 
 
-def _cmd_eval(out, fmt, k, n, expression) -> int:
-    try:
-        ast = parse(expression)
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        ctx = RingContext(k, n)
-        value = eval_expr(ast, ctx)
-    except (EvalError, ValueError) as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return EXIT_EVAL
-    print(render(value, ctx, fmt), file=out)
-    return EXIT_OK
+def _cmd_eval(out, fmt, k, n, expression):
+    ast = parse(expression)
+    ctx = RingContext(k, n)
+    print(render(eval_expr(ast, ctx), ctx, fmt), file=out)
 
 
-def _cmd_dual(out, fmt, k, i, method) -> int:
+def _cmd_dual(out, fmt, k, i, method):
     if k < 1 or i < 0:
-        print("evaluation error: need k >= 1 and i >= 0", file=sys.stderr)
-        return EXIT_EVAL
+        raise ValueError("need k >= 1 and i >= 0")
     closed = dual_class_closed(i, k)
     if method == "closed":
         print(render_free(closed), file=out)
-        return EXIT_OK
+        return
     recursive = dual_class_recursive(i, k)
     if method == "recursive":
         print(render_free(recursive), file=out)
-        return EXIT_OK
+        return
     print(f"closed:    {render_free(closed)}", file=out)
     print(f"recursive: {render_free(recursive)}", file=out)
-    if closed == recursive:
-        print("MATCH", file=out)
-        return EXIT_OK
-    print("MISMATCH", file=out)
-    return EXIT_CHECK
+    if closed != recursive:
+        print("MISMATCH", file=out)
+        raise AssertionError(f"closed and recursive cbar_{i} differ")
+    print("MATCH", file=out)
 
 
-def _cmd_betti(out, fmt, k, n) -> int:
-    if k < 1 or n < 1:
-        print("evaluation error: need k, n >= 1", file=sys.stderr)
-        return EXIT_EVAL
-    betti = betti_numbers(k, n)
+def _cmd_betti(out, fmt, k, n):
+    betti = betti_numbers(*RingContext(k, n))  # RingContext checks k, n >= 1
     if fmt == "json":
         print(json.dumps({"k": k, "n": n, "betti": betti,
                           "total": sum(betti)}), file=out)
@@ -104,27 +94,21 @@ def _cmd_betti(out, fmt, k, n) -> int:
         for i, b in enumerate(betti):
             print(f"b_{i} = {b}", file=out)
         print(f"total = {sum(betti)}", file=out)
-    return EXIT_OK
 
 
-def _cmd_lefschetz(out, fmt, k, n, m) -> int:
-    if k < 1 or n < 1:
-        print("evaluation error: need k, n >= 1", file=sys.stderr)
-        return EXIT_EVAL
+def _cmd_lefschetz(out, fmt, k, n, m):
     lef = lefschetz_number(m, RingContext(k, n))
     if fmt == "json":
         print(json.dumps({"k": k, "n": n, "m": m,
                           "lefschetz": str(lef)}), file=out)
     else:
         print(lef, file=out)
-    return EXIT_OK
 
 
-def _cmd_fpp(out, fmt, k_max, n_max, m_range) -> int:
+def _cmd_fpp(out, fmt, k_max, n_max, m_range):
     m_range = _parse_m_range(m_range)
     if k_max < 1 or n_max < 1:
-        print("evaluation error: need positive bounds", file=sys.stderr)
-        return EXIT_EVAL
+        raise ValueError("need positive bounds")
     if fmt == "json":
         rows = []
         for k in range(1, k_max + 1):
@@ -136,18 +120,10 @@ def _cmd_fpp(out, fmt, k_max, n_max, m_range) -> int:
         print(json.dumps(rows), file=out)
     else:
         out.write(sweep_csv(k_max, n_max, m_range))
-    return EXIT_OK
 
 
-def _cmd_obstruct(out, fmt, k, n) -> int:
-    try:
-        cert = obstruction.nontrivial_intersection_report(k, n)
-    except obstruction.HypothesisError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return EXIT_EVAL
-    except AssertionError as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return EXIT_CHECK
+def _cmd_obstruct(out, fmt, k, n):
+    cert = obstruction.nontrivial_intersection_report(k, n)
     if fmt == "text":
         obj = cert.to_obj()
         print(f"case: {obj['case']}  (k={obj['k']}, n={obj['n']})", file=out)
@@ -160,7 +136,6 @@ def _cmd_obstruct(out, fmt, k, n) -> int:
         print(f"assumptions: {', '.join(obj['assumptions'])}", file=out)
     else:
         print(cert.to_json(), file=out)
-    return EXIT_OK
 
 
 def _selftest_suites():
@@ -240,27 +215,29 @@ def _selftest_suites():
     ]
 
 
-def _cmd_selftest(out, fmt) -> int:
-    failures = 0
+def _cmd_selftest(out, fmt):
+    failed = []
     print(f"backend: {backend_name()}", file=out)
     for name, fn in _selftest_suites():
         ok = fn()
         print(f"{name}: {'PASS' if ok else 'FAIL'}", file=out)
         if not ok:
-            failures += 1
-    return EXIT_OK if failures == 0 else EXIT_CHECK
+            failed.append(name)
+    if failed:
+        raise AssertionError(f"selftest suites failed: {', '.join(failed)}")
 
 
 # subcommand: (handler, its int options, all required; its other options
-# with their defaults; whether it takes EXPR)
+# with their defaults; whether it takes EXPR; the --format values it prints)
 _COMMANDS = {
-    "eval": (_cmd_eval, ("k", "n"), {}, True),
-    "dual": (_cmd_dual, ("k", "i"), {"method": "closed"}, False),
-    "betti": (_cmd_betti, ("k", "n"), {}, False),
-    "lefschetz": (_cmd_lefschetz, ("k", "n", "m"), {}, False),
-    "fpp": (_cmd_fpp, ("k-max", "n-max"), {"m-range": "-5:5"}, False),
-    "obstruct": (_cmd_obstruct, ("k", "n"), {}, False),
-    "selftest": (_cmd_selftest, (), {}, False),
+    "eval": (_cmd_eval, ("k", "n"), {}, True, ("text", "json", "csv")),
+    "dual": (_cmd_dual, ("k", "i"), {"method": "closed"}, False, ("text",)),
+    "betti": (_cmd_betti, ("k", "n"), {}, False, ("text", "json", "csv")),
+    "lefschetz": (_cmd_lefschetz, ("k", "n", "m"), {}, False, ("text", "json")),
+    "fpp": (_cmd_fpp, ("k-max", "n-max"), {"m-range": "-5:5"}, False,
+            ("text", "json", "csv")),
+    "obstruct": (_cmd_obstruct, ("k", "n"), {}, False, ("text", "json")),
+    "selftest": (_cmd_selftest, (), {}, False, ("text",)),
 }
 
 
@@ -300,7 +277,9 @@ def _parse(argv):
         command = next(tokens, None)
     if command not in _COMMANDS:
         raise _UsageError(f"unknown subcommand {command!r}")
-    _, ints, others, takes_expr = _COMMANDS[command]
+    _, ints, others, takes_expr, formats = _COMMANDS[command]
+    if fmt not in formats:
+        raise _UsageError(f"{command} has no --format {fmt}")
     values, words = dict(others, fmt=fmt), []
     for token in tokens:
         if token == "--":
@@ -331,14 +310,34 @@ def run_cli(argv, out=None) -> int:
         return EXIT_OK
     try:
         command, kwargs = _parse(argv)
-        return _COMMANDS[command][0](out, **kwargs)
+        _COMMANDS[command][0](out, **kwargs)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ParseError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    # EvalError, HypothesisError and RingContext's range check among them
+    except ValueError as exc:
+        print(f"evaluation error: {exc}", file=sys.stderr)
+        return EXIT_EVAL
+    except AssertionError as exc:
+        print(f"certificate failure: {exc}", file=sys.stderr)
+        return EXIT_CHECK
+    return EXIT_OK
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        code = run_cli(sys.argv[1:])
+        # a buffered stdout can raise here, not only inside run_cli
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send the interpreter's final flush to
+        # devnull and exit 0, the reader having chosen to stop
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -358,6 +359,108 @@ def test_usage_is_the_readme_cli_block():
     readme = (SRC.parent / "README.md").read_text()
     assert f"```text\n{cli.USAGE}\n```" in readme
     assert all(f"\n  {name} " in cli.USAGE for name in cli._COMMANDS)
+
+
+def test_closed_stdout_exits_0(tmp_path):
+    # the reader stops after one line of a 363,781-byte sweep; stdout is
+    # buffered as in a shell pipeline, so PYTHONUNBUFFERED must not be set
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    with open(tmp_path / "stderr", "w") as err:
+        child = subprocess.Popen([sys.executable, "-m", "grasscoh.cli", "fpp",
+                                  "--k-max", "20", "--n-max", "20"],
+                                 stdout=subprocess.PIPE, stderr=err, env=env)
+        assert child.stdout.readline().startswith(b"k,n,m,lefschetz,")
+        child.stdout.close()
+        code = child.wait(timeout=120)
+    # no traceback, nor any other line
+    assert (code, (tmp_path / "stderr").read_text()) == (0, "")
+
+
+# -- the error map: the exception a handler raises picks the exit code --
+
+def run_with_stderr(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(argv, out=out)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["betti", "--k", "1", "--n", "1", "--m", "2"], 1, "usage error: "),
+    (["--format", "csv", "obstruct", "--k", "3", "--n", "5"], 1,
+     "usage error: obstruct has no --format csv"),
+    (["eval", "--k", "2", "--n", "3", "1+"], 1, "parse error at offset "),
+    # RingContext makes the (k, n) check of betti and lefschetz
+    (["betti", "--k", "0", "--n", "3"], 2,
+     "evaluation error: k and n must be positive"),
+    (["lefschetz", "--k", "2", "--n", "0", "--m", "2"], 2,
+     "evaluation error: k and n must be positive"),
+    (["obstruct", "--k", "1", "--n", "4"], 2, "evaluation error: "),
+    (["dual", "--k", "0", "--i", "1"], 2,
+     "evaluation error: need k >= 1 and i >= 0"),
+    (["fpp", "--k-max", "0", "--n-max", "2"], 2,
+     "evaluation error: need positive bounds"),
+])
+def test_error_map(argv, code, prefix):
+    got_code, out, err = run_with_stderr(argv)
+    assert (got_code, out) == (code, "")
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1
+
+
+def test_assertion_is_a_certificate_failure(monkeypatch):
+    def broken(k, n):
+        raise AssertionError("forced")
+
+    monkeypatch.setattr(cli.obstruction, "nontrivial_intersection_report", broken)
+    assert run_with_stderr(["obstruct", "--k", "3", "--n", "5"]) == (
+        3, "", "certificate failure: forced\n")
+
+
+# -- formats: a subcommand prints the --format values its _COMMANDS entry
+# lists, with the bytes it printed before the table listed them --
+
+FORMAT_ARGV = {
+    "eval": ["eval", "--k", "2", "--n", "3", "cbar(2)*c1"],
+    "dual": ["dual", "--k", "2", "--i", "3"],
+    "betti": ["betti", "--k", "2", "--n", "3"],
+    "lefschetz": ["lefschetz", "--k", "2", "--n", "3", "--m", "2"],
+    "fpp": ["fpp", "--k-max", "2", "--n-max", "2", "--m-range", "-1:1"],
+    "obstruct": ["obstruct", "--k", "3", "--n", "5"],
+    "selftest": ["selftest"],
+}
+# sha256[:16] of stdout
+FORMAT_DIGESTS = {
+    ("eval", "text"): "702a947f8d513e6b",
+    ("eval", "json"): "e8340c06500b5ca4",
+    ("eval", "csv"): "d1a7961b855f68b8",
+    ("dual", "text"): "80ff870a5b363e87",
+    ("betti", "text"): "36b3926ad504319d",
+    ("betti", "json"): "1b1f35376683e0af",
+    ("betti", "csv"): "6cd17489a12e5eed",
+    ("lefschetz", "text"): "8f35c5749fd690a5",
+    ("lefschetz", "json"): "73a909d20b12deb6",
+    ("fpp", "text"): "cc885f600bca7d44",
+    ("fpp", "json"): "437334beb609fabc",
+    ("fpp", "csv"): "cc885f600bca7d44",
+    ("obstruct", "text"): "95c2674e22d52a75",
+    ("obstruct", "json"): "1a8522f4424d7f0f",
+    ("selftest", "text"): "1567f5174d05d601",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", list(FORMAT_ARGV))
+def test_format_matrix(command, fmt):
+    code, out = run_checked(["--format", fmt] + FORMAT_ARGV[command])
+    if (command, fmt) in FORMAT_DIGESTS:
+        digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+        assert (code, digest) == (0, FORMAT_DIGESTS[command, fmt])
+    else:
+        assert (code, out) == (1, "")
+    assert set(FORMAT_ARGV) == set(cli._COMMANDS)
 
 
 # -- argv fuzz: a bounded token alphabet, k and n <= 4, exponents <= 3 --
