@@ -7,13 +7,12 @@ from .freepoly import FreeClass, dual_class_closed, dual_class_recursive, render
 from .lefschetz import apply_adams, fpp_classification, lefschetz_number
 from .obstruction import Certificate, dispatch_case, nontrivial_intersection_report
 from .partitions import conjugate, multinomial, partitions_in_box, weight
-from .ring import (GrassElement, RingContext, SchurClass, giambelli, integrate,
-                   pairing, reduce_free)
+from .ring import RingContext, SchurClass, giambelli, integrate, pairing, reduce_free
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Certificate", "FreeClass", "GrassElement", "RingContext", "SchurClass",
+    "Certificate", "FreeClass", "RingContext", "SchurClass",
     "apply_adams", "backend_name", "clear_caches", "conjugate", "dispatch_case",
     "dual_class_closed", "dual_class_recursive", "fpp_classification",
     "giambelli", "integrate", "lefschetz_number", "multinomial",

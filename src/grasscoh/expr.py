@@ -37,7 +37,8 @@ from .ring import RingContext, SchurClass, lift, reduce_free
 #   ("+" | "-" | "*", left, right)
 #   ("^", base, exponent)
 #   ("neg", operand)
-#   ("()", inner)         kept, so printing a tree gives back its source
+#   ("()", inner)         documented AST, kept so that a printer can give
+#                         back the source of a tree token for token
 
 
 class ParseError(ValueError):
@@ -209,7 +210,7 @@ def parse(src: str):
 
 # -- evaluation --------------------------------------------------------
 
-_INFIX = {"+": " + ", "-": " - ", "*": "*"}
+_INFIX = ("+", "-", "*")
 
 
 def eval_expr(node, ctx: RingContext) -> FreeClass:
@@ -261,38 +262,6 @@ def _eval_operand(node, ctx: RingContext) -> FreeClass:
 
 
 # -- rendering ---------------------------------------------------------
-
-def render_as_source(node) -> str:
-    """Print an AST back to source text, one-to-one on the token level.
-    Like eval_expr, it walks the left spine of a binary chain in a loop."""
-    spine = []
-    while node[0] in _INFIX:
-        spine.append(node)
-        node = node[1]
-    pieces = [_render_operand(node)]
-    for tag, _, right in reversed(spine):
-        pieces += (_INFIX[tag], render_as_source(right))
-    return "".join(pieces)
-
-
-def _render_operand(node) -> str:
-    tag, arg = node[0], node[1]
-    if tag == "num":
-        return str(arg)
-    if tag == "c":
-        return f"c{arg}"
-    if tag == "cbar":
-        return f"cbar({arg})"
-    if tag == "sigma":
-        return f"sigma[{','.join(map(str, arg))}]"
-    if tag == "^":
-        return f"{render_as_source(arg)}^{node[2]}"
-    if tag == "neg":
-        return f"-{render_as_source(arg)}"
-    if tag == "()":
-        return f"({render_as_source(arg)})"
-    raise TypeError(f"unknown node {node!r}")
-
 
 def render(x: FreeClass, ctx: RingContext, fmt: str = "text") -> str:
     """Render a free polynomial and its Schur expansion in ctx."""

@@ -99,10 +99,6 @@ class FreeClass:
         alpha[i - 1] = 1
         return cls(k, {tuple(alpha): 1})
 
-    @classmethod
-    def monomial(cls, k, alpha, coeff=1):
-        return cls(k, {tuple(alpha): coeff})
-
     # -- basic queries ------------------------------------------------
 
     def is_zero(self):
@@ -113,9 +109,6 @@ class FreeClass:
             raise AmbientMismatch(
                 f"exponent vector length {len(alpha)} != ambient {self.k}")
         return self.terms.get(tuple(alpha), 0)
-
-    def weights(self):
-        return sorted({weight(a) for a in self.terms})
 
     def homogeneous_component(self, q):
         return FreeClass(self.k, {a: c for a, c in self.terms.items()
@@ -169,22 +162,6 @@ class FreeClass:
         for _ in range(exponent):
             out = out * self
         return out
-
-    def evaluate(self, values):
-        """Substitute c_i := values[i-1] (exact rationals)."""
-        if len(values) != self.k:
-            raise AmbientMismatch(
-                f"value vector length {len(values)} != ambient {self.k}")
-        from fractions import Fraction
-        vals = [Fraction(v) for v in values]
-        total = Fraction(0)
-        for alpha, c in self.terms.items():
-            prod = c
-            for v, a in zip(vals, alpha):
-                if a:
-                    prod *= v ** a
-            total += prod
-        return total
 
     # -- equality, rendering ------------------------------------------
 

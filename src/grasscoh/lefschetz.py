@@ -10,13 +10,13 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .partitions import betti_numbers
-from .ring import GrassElement, RingContext, SchurClass
+from .ring import RingContext, SchurClass
 
 
-def apply_adams(x: GrassElement, m: int) -> GrassElement:
+def apply_adams(x: SchurClass, m: int) -> SchurClass:
     """The degree-m Adams endomorphism: sigma_lam -> m^|lam| sigma_lam."""
-    terms = {lam: m ** sum(lam) * c for lam, c in x.reduced.terms.items()}
-    return GrassElement(x.context, SchurClass(x.context, terms))
+    return SchurClass(x.context, {lam: m ** sum(lam) * c
+                                  for lam, c in x.terms.items()})
 
 
 def lefschetz_number(m: int, ctx: RingContext) -> int:

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasscoh.expr import (EvalError, ParseError, eval_expr, parse, render,
-                           render_as_source)
+from grasscoh.expr import EvalError, ParseError, eval_expr, parse, render
 from grasscoh.freepoly import FreeClass, dual_class_closed
 from grasscoh.ring import RingContext, reduce_free
 
@@ -124,6 +123,41 @@ class TestRender:
         for line in (free_line, schur_line.removeprefix("= ")):
             assert reduce_free(eval_expr(parse(line), ctx), ctx) == \
                 reduce_free(x, ctx)
+
+
+_INFIX_TEXT = {"+": " + ", "-": " - ", "*": "*"}
+
+
+def render_as_source(node) -> str:
+    """Print an AST back to source text, one-to-one on the token level.
+    Like eval_expr, it walks the left spine of a binary chain in a loop."""
+    spine = []
+    while node[0] in _INFIX_TEXT:
+        spine.append(node)
+        node = node[1]
+    pieces = [_render_operand(node)]
+    for tag, _, right in reversed(spine):
+        pieces += (_INFIX_TEXT[tag], render_as_source(right))
+    return "".join(pieces)
+
+
+def _render_operand(node) -> str:
+    tag, arg = node[0], node[1]
+    if tag == "num":
+        return str(arg)
+    if tag == "c":
+        return f"c{arg}"
+    if tag == "cbar":
+        return f"cbar({arg})"
+    if tag == "sigma":
+        return f"sigma[{','.join(map(str, arg))}]"
+    if tag == "^":
+        return f"{render_as_source(arg)}^{node[2]}"
+    if tag == "neg":
+        return f"-{render_as_source(arg)}"
+    if tag == "()":
+        return f"({render_as_source(arg)})"
+    raise TypeError(f"unknown node {node!r}")
 
 
 # random well-formed ASTs; compound children are always parenthesized so

@@ -8,7 +8,7 @@ import pytest
 from grasscoh.freepoly import (AmbientMismatch, FreeClass, closed_coefficient,
                                dual_class_closed, dual_class_recursive,
                                dual_coefficient, render_free, total_chern)
-from grasscoh.partitions import exponent_vectors_of_weight
+from grasscoh.partitions import exponent_vectors_of_weight, weight
 
 
 def c(k, i):
@@ -31,7 +31,7 @@ class TestArithmetic:
 
     def test_mul_weights_add(self):
         p = c(3, 1) * c(3, 2)
-        assert p.weights() == [3]
+        assert {weight(a) for a in p.terms} == {3}
         assert p.coeff((1, 1, 0)) == 1
 
     def test_mul_hand_expansion(self):
@@ -41,7 +41,7 @@ class TestArithmetic:
 
     def test_monomial_power_matches_repeated_product(self):
         for base in (c(3, 2), c(3, 1) * c(3, 3).scale(-2),
-                     FreeClass.monomial(2, (1, 1), Fraction(-3, 2)),
+                     FreeClass(2, {(1, 1): Fraction(-3, 2)}),
                      FreeClass.one(2).scale(5), FreeClass.zero(2),
                      c(2, 1) + c(2, 2)):
             acc = FreeClass.one(base.k)
@@ -149,13 +149,25 @@ def complete_homogeneous(roots, i):
     return total
 
 
+def evaluate(p, values):
+    """p with c_i := values[i-1], in exact rationals."""
+    assert len(values) == p.k
+    total = Fraction(0)
+    for alpha, coeff in p.terms.items():
+        prod = Fraction(coeff)
+        for v, a in zip(values, alpha):
+            prod *= Fraction(v) ** a
+        total += prod
+    return total
+
+
 class TestRootOracle:
     def test_evaluate_simple(self):
         p = c(2, 1) * c(2, 1) - c(2, 2)
-        assert p.evaluate([2, 1]) == 3
+        assert evaluate(p, [2, 1]) == 3
 
     def test_evaluate_zero(self):
-        assert FreeClass.zero(3).evaluate([5, 7, 9]) == 0
+        assert evaluate(FreeClass.zero(3), [5, 7, 9]) == 0
 
     def test_dual_is_signed_complete_homogeneous(self):
         rng = random.Random(20230817)
@@ -165,7 +177,7 @@ class TestRootOracle:
                     roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                              for _ in range(k)]
                     evals = [elementary(roots, j) for j in range(1, k + 1)]
-                    got = dual_class_closed(i, k).evaluate(evals)
+                    got = evaluate(dual_class_closed(i, k), evals)
                     want = (-1) ** i * complete_homogeneous(roots, i)
                     assert got == want
 

@@ -5,7 +5,7 @@ benchmark job; every cold row of both workloads is replayed here, the
 heavy reduce-cold rows with the largest coefficients included.  Its
 `product` rows, the digests of every `schur_mul` product of basis classes
 in the session rings, are all replayed, through `schur_mul` and through
-`GrassElement.cup`.  `cli_cases.tsv` next to this file adds what
+`SchurClass.__mul__`.  `cli_cases.tsv` next to this file adds what
 that table lacks: error exits, `selftest`, and the json and csv formats.
 Both files are read, never written.
 """
@@ -21,8 +21,7 @@ import pytest
 from grasscoh import cli, obstruction
 from grasscoh.freepoly import FreeClass
 from grasscoh.lefschetz import apply_adams
-from grasscoh.ring import (GrassElement, RingContext, SchurClass, complement,
-                           pairing, schur_mul)
+from grasscoh.ring import RingContext, SchurClass, complement, pairing, schur_mul
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE.parent / "perfbench" / "golden.tsv"
@@ -109,7 +108,7 @@ ADAMS_DEGREES = (-3, -2, -1, 2, 3)
 
 
 def test_golden_products():
-    # every pair twice, through schur_mul and the session API's cup, plus
+    # every pair twice, through schur_mul and the product operator, plus
     # pairing against Poincare duality and Adams against m^|a| sigma_a
     rows = product_rows()
     assert len(rows) == 171
@@ -118,18 +117,16 @@ def test_golden_products():
     for k, n, a, pairs in rows:
         ctx = RingContext(k, n)
         sa = SchurClass(ctx, {a: 1})
-        x = GrassElement.from_schur(ctx, sa)
         for m in ADAMS_DEGREES:
-            if apply_adams(x, m).reduced != sa.scale(m ** sum(a)):
+            if apply_adams(sa, m) != sa.scale(m ** sum(a)):
                 mismatches.append(("adams", k, n, a, m))
         for b, dig in pairs:
             sb = SchurClass(ctx, {b: 1})
-            y = GrassElement.from_schur(ctx, sb)
             for how, got in (("schur_mul", str(schur_mul(sa, sb))),
-                             ("cup", str(x.cup(y).reduced))):
+                             ("*", str(sa * sb))):
                 if digest(got) != dig:
                     mismatches.append((how, k, n, a, b, got))
-            if pairing(x, y) != int(b == complement(a, k, n)):
+            if pairing(sa, sb) != int(b == complement(a, k, n)):
                 mismatches.append(("pairing", k, n, a, b))
     assert not mismatches, f"{len(mismatches)} mismatches: {mismatches[:5]}"
 

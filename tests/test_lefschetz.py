@@ -5,33 +5,25 @@ from grasscoh.freepoly import FreeClass
 from grasscoh.lefschetz import (apply_adams, fpp_classification,
                                 in_classified_range, lefschetz_number,
                                 proposition_check, sweep_csv)
-from grasscoh.ring import GrassElement, RingContext, reduce_free
-
-
-def elt(ctx, p):
-    return GrassElement(ctx, reduce_free(p, ctx))
-
-
-def scaled(x, factor):
-    return GrassElement(x.context, x.reduced.scale(factor))
+from grasscoh.ring import RingContext, reduce_free
 
 
 class TestApplyAdams:
     def test_degree_one_scaling(self):
         ctx = RingContext(3, 4)
-        c1 = elt(ctx, FreeClass.generator(3, 1))
+        c1 = reduce_free(FreeClass.generator(3, 1), ctx)
         for m in range(-3, 4):
-            assert apply_adams(c1, m) == scaled(c1, m)
+            assert apply_adams(c1, m) == c1.scale(m)
 
     def test_identity(self):
         ctx = RingContext(2, 3)
-        x = elt(ctx, FreeClass(2, {(2, 1): 3, (0, 1): -1}))
+        x = reduce_free(FreeClass(2, {(2, 1): 3, (0, 1): -1}), ctx)
         assert apply_adams(x, 1) == x
 
     def test_weight_three_scales_by_cube(self):
         ctx = RingContext(3, 4)
-        x = elt(ctx, FreeClass.monomial(3, (1, 1, 0)))
-        assert apply_adams(x, 2) == scaled(x, 8)
+        x = reduce_free(FreeClass(3, {(1, 1, 0): 1}), ctx)
+        assert apply_adams(x, 2) == x.scale(8)
 
     def test_ring_endomorphism(self):
         rng = random.Random(99)
@@ -48,8 +40,8 @@ class TestApplyAdams:
 
     def test_antipodal_on_g22(self):
         ctx = RingContext(2, 2)
-        c1 = elt(ctx, FreeClass.generator(2, 1))
-        assert apply_adams(c1, -1) == scaled(c1, -1)
+        c1 = reduce_free(FreeClass.generator(2, 1), ctx)
+        assert apply_adams(c1, -1) == c1.scale(-1)
         # b = 1, 1, 2, 1, 1, so the degree -1 trace is 1 - 1 + 2 - 1 + 1
         assert lefschetz_number(-1, ctx) == 2
 
@@ -61,7 +53,7 @@ def _random_elt(rng, ctx):
         w = rng.randint(0, 4)
         vecs = exponent_vectors_of_weight(w, ctx.k)
         terms[vecs[rng.randrange(len(vecs))]] = rng.randint(-3, 3)
-    return elt(ctx, FreeClass(ctx.k, terms))
+    return reduce_free(FreeClass(ctx.k, terms), ctx)
 
 
 class TestLefschetzNumber:

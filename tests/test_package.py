@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ from grasscoh import partitions, ring
 from grasscoh.freepoly import dual_class_closed, dual_class_recursive
 from grasscoh.ring import RingContext, reduce_free
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_backend_name_reported():
@@ -41,11 +43,23 @@ def test_clear_caches_empties_every_memo():
 
 def load_tracer():
     """perfbench/tracer.py, imported from its file and never modified."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     return tracer
+
+
+def test_session_harness_runs_clean():
+    # perfbench/session.py drives the package through its element API,
+    # the compatibility names included; a broken name is a failed job
+    done = subprocess.run([sys.executable, "-I", "-S",
+                           str(ROOT / "perfbench" / "session.py"), str(ROOT),
+                           "1", "0", "trace0", "5"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert (report["jobs"], report["failed"], report["failures"]) == (60, 0, [])
 
 
 def test_tracer_hooks_resolve():
