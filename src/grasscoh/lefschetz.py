@@ -8,8 +8,8 @@ problem and are deliberately not represented.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import comb
 
-from .partitions import betti_numbers
 from .ring import RingContext, SchurClass
 
 
@@ -20,9 +20,32 @@ def apply_adams(x: SchurClass, m: int) -> SchurClass:
 
 
 def lefschetz_number(m: int, ctx: RingContext) -> int:
-    """Exact alternating-trace sum: all classes are even-dimensional, so
-    the trace is sum of m^i * dim H^{2i}."""
-    return sum((m ** i) * b for i, b in enumerate(betti_numbers(ctx.k, ctx.n)))
+    """Exact alternating-trace sum.  All classes are even-dimensional, so
+    the trace is sum of m^i * dim H^{2i}: the Gaussian binomial
+    [k+n, k]_q at q = m, computed in closed form without the Betti row.
+
+    L(1) = C(k+n, k), the Euler characteristic, and L(0) = 1.  L(-1) is 0
+    when k and n are both odd and C(floor((k+n)/2), floor(k/2)) otherwise
+    (the q-Lucas theorem at q = -1).  Any other m gives
+    prod_{j=1..k} (m^(n+j) - 1) / (m^j - 1), taken over the shorter side
+    of the box and divided step by step: each partial product is the
+    integer [n+j, j]_m, so every division is exact.
+    """
+    k, n = sorted(ctx)
+    if m == 1:
+        return comb(k + n, k)
+    if m == 0:
+        return 1
+    if m == -1:
+        return 0 if k % 2 and n % 2 else comb((k + n) // 2, k // 2)
+    lef = 1
+    m_j = 1
+    m_nj = m ** n
+    for _ in range(k):
+        m_j *= m
+        m_nj *= m
+        lef = lef * (m_nj - 1) // (m_j - 1)
+    return lef
 
 
 class PropositionReport(namedtuple("PropositionReport",

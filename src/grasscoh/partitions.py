@@ -69,7 +69,8 @@ def partitions_in_box(i: int, k: int, n: int):
     """All partitions of i with at most k parts, each part at most n.
 
     Output order is lexicographic descending, so enumeration is
-    byte-for-byte reproducible.
+    byte-for-byte reproducible.  Every branch taken ends in a partition,
+    so the cost is linear in the output.
     """
     if k < 1 or n < 1:
         raise ValueError("box dimensions must be positive")
@@ -79,14 +80,14 @@ def partitions_in_box(i: int, k: int, n: int):
         if rem == 0:
             out.append(tuple(prefix))
             return
-        if rows_left == 0:
-            return
-        for p in range(min(cap, rem), 0, -1):
+        # a part below ceil(rem / rows_left) leaves too much for the rows below
+        for p in range(min(cap, rem), -(-rem // rows_left) - 1, -1):
             prefix.append(p)
             rec(rem - p, rows_left - 1, p, prefix)
             prefix.pop()
 
-    rec(i, k, n, [])
+    if 0 <= i <= k * n:
+        rec(i, k, n, [])
     return out
 
 

@@ -91,7 +91,11 @@ class SchurClass:
     def cup(self, other):
         return schur_mul(self, other)
 
-    __mul__ = cup
+    def __mul__(self, other):
+        # scalars go through scale(); any other operand is a TypeError
+        if not isinstance(other, SchurClass):
+            return NotImplemented
+        return schur_mul(self, other)
 
     def scale(self, factor):
         factor = exact(factor)

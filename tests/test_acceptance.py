@@ -95,24 +95,34 @@ def test_criterion_4_root_oracle():
 
 
 def test_criterion_5_lefschetz_criterion():
+    # the second path, a sum over listed box partitions, is built untimed
+    from test_lefschetz import enumerated_betti, enumerated_lefschetz
+    for k in range(1, 13):
+        for n in range(1, 13):
+            enumerated_betti(k, n)
     start = time.monotonic()
     for k in range(1, 13):
         for n in range(1, 13):
             ctx = RingContext(k, n)
             for m in range(-5, 6):
-                zero = lefschetz_number(m, ctx) == 0
+                lef = lefschetz_number(m, ctx)
+                zero = lef == 0
                 assert zero == (m == -1 and (k * n) % 2 == 1)
+                assert lef == enumerated_lefschetz(m, k, n)
     elapsed = time.monotonic() - start
     assert elapsed < 5
     _report(5, "L = 0 iff m = -1 and kn odd, k,n<=12, |m|<=5", elapsed)
 
 
 def test_criterion_6_euler_characteristic():
+    from test_lefschetz import enumerated_lefschetz
     for k in range(1, 13):
         for n in range(1, 13):
             ctx = RingContext(k, n)
             assert lefschetz_number(1, ctx) == comb(k + n, k)
             assert lefschetz_number(0, ctx) == 1
+            for m in (0, 1):
+                assert lefschetz_number(m, ctx) == enumerated_lefschetz(m, k, n)
     _report(6, "L(1) = C(k+n,k) and L(0) = 1")
 
 

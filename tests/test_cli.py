@@ -216,6 +216,23 @@ class TestTotality:
         lef = sum(1000 ** i * b for i, b in enumerate(betti_numbers(40, 40)))
         assert out == f"{lef}\n"
 
+    def test_lefschetz_large_box(self):
+        code, out = run_checked(["lefschetz", "--k", "500", "--n", "500",
+                                 "--m", "3"])
+        assert code == 0
+        lef = int(out)
+        # b_0 = b_250000 = 1 and every term is positive
+        assert lef >= 3 ** 250000
+        # b_i = p(i), the partition numbers, for i <= min(k, n)
+        partition_numbers = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30)
+        assert lef % 3 ** 10 == \
+            sum(p * 3 ** i for i, p in enumerate(partition_numbers)) % 3 ** 10
+
+    def test_fpp_large_sweep(self):
+        code, out = run_checked(["fpp", "--k-max", "60", "--n-max", "60"])
+        assert code == 0
+        assert out.count("\n") == 1 + 60 * 60 * 11
+
     def test_fpp_json_huge_degree(self):
         m = "1" + "0" * 4400
         code, out = run_checked(["--format", "json", "fpp", "--k-max", "1",

@@ -1,11 +1,27 @@
 import random
+from functools import lru_cache
 from math import comb
+
+from hypothesis import example, given, settings, strategies as st
 
 from grasscoh.freepoly import FreeClass
 from grasscoh.lefschetz import (apply_adams, fpp_classification,
                                 in_classified_range, lefschetz_number,
                                 proposition_check, sweep_csv)
+from grasscoh.partitions import betti_numbers, partitions_in_box
 from grasscoh.ring import RingContext, reduce_free
+
+
+@lru_cache(maxsize=None)
+def enumerated_betti(k, n):
+    """dim H^{2i}(G(k,n)) for i = 0..kn, by listing the partitions in the
+    k x n box: shares no code with the Gaussian binomial row or with the
+    closed form in `lefschetz_number`."""
+    return tuple(len(partitions_in_box(i, k, n)) for i in range(k * n + 1))
+
+
+def enumerated_lefschetz(m, k, n):
+    return sum(m ** i * b for i, b in enumerate(enumerated_betti(k, n)))
 
 
 class TestApplyAdams:
@@ -69,10 +85,13 @@ class TestLefschetzNumber:
                 ctx = RingContext(k, n)
                 assert lefschetz_number(1, ctx) == comb(k + n, k)
                 assert lefschetz_number(0, ctx) == 1
+                for m in (0, 1):
+                    assert lefschetz_number(m, ctx) == \
+                        enumerated_lefschetz(m, k, n)
 
     def test_minus_one_closed_form(self):
-        # when kn is even, L(-1) = C(floor((k+n)/2), floor(k/2)); the closed
-        # form is a check against the direct summation, not an input
+        # when kn is even, L(-1) = C(floor((k+n)/2), floor(k/2)); the package
+        # uses this closed form, so the enumerated sum is the second path
         for k in range(1, 13):
             for n in range(1, 13):
                 lef = lefschetz_number(-1, RingContext(k, n))
@@ -80,6 +99,26 @@ class TestLefschetzNumber:
                     assert lef == 0
                 else:
                     assert lef == comb((k + n) // 2, k // 2)
+                assert lef == enumerated_lefschetz(-1, k, n)
+
+    def test_agrees_with_enumerated_partitions(self):
+        for k in range(1, 13):
+            for n in range(1, 13):
+                ctx = RingContext(k, n)
+                for m in range(-6, 7):
+                    assert lefschetz_number(m, ctx) == \
+                        enumerated_lefschetz(m, k, n), (k, n, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 20),
+           st.one_of(st.integers(-10, 10),
+                     st.integers(-10 ** 50, 10 ** 50)))
+    @example(20, 20, 10 ** 50)
+    @example(19, 20, -10 ** 50)
+    @example(20, 19, -1)
+    def test_agrees_with_betti_row(self, k, n, m):
+        lef = lefschetz_number(m, RingContext(k, n))
+        assert lef == sum(m ** i * b for i, b in enumerate(betti_numbers(k, n)))
 
 
 class TestProposition:

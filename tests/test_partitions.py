@@ -40,6 +40,11 @@ def test_box_2_2_2():
     assert partitions_in_box(2, 2, 2) == [(2,), (1, 1)]
 
 
+def test_box_degrees_outside_the_box_are_empty():
+    for i in (-2, -1, 10, 13):
+        assert partitions_in_box(i, 3, 3) == []
+
+
 def test_box_order_lex_descending():
     out = partitions_in_box(4, 3, 4)
     assert out == sorted(out, reverse=True)

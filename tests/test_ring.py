@@ -208,6 +208,14 @@ class TestRingStructure:
         with pytest.raises(ContextMismatch):
             x * y
 
+    def test_product_with_a_non_class_is_a_type_error(self):
+        s = reduce_free(FreeClass.generator(2, 1), RingContext(2, 3))
+        for product in (lambda: s * 2, lambda: 2 * s,
+                        lambda: s * FreeClass.one(2)):
+            with pytest.raises(TypeError):
+                product()
+        assert s.scale(2) == s + s
+
     def test_integrate_top(self):
         for k, n in [(1, 2), (2, 2), (2, 3)]:
             ctx = RingContext(k, n)
