@@ -11,7 +11,8 @@ import sys
 from . import backend_name, obstruction
 from .expr import ParseError, eval_expr, parse, render
 from .freepoly import dual_class_closed, dual_class_recursive, render_free
-from .lefschetz import fpp_classification, lefschetz_number, proposition_check, sweep_csv
+from .lefschetz import (fpp_classification, in_classified_range, lefschetz_number,
+                        proposition_check)
 from .partitions import betti_numbers, total_boxes_count
 from .ring import RingContext
 
@@ -109,17 +110,23 @@ def _cmd_fpp(out, fmt, k_max, n_max, m_range):
     m_range = _parse_m_range(m_range)
     if k_max < 1 or n_max < 1:
         raise ValueError("need positive bounds")
+    grid = [(k, n, fpp_classification(k, n, m_range))
+            for k in range(1, k_max + 1) for n in range(1, n_max + 1)]
     if fmt == "json":
-        rows = []
-        for k in range(1, k_max + 1):
-            for n in range(1, n_max + 1):
-                verdict = fpp_classification(k, n, m_range)
-                rows.append({"k": k, "n": n, "status": verdict.status,
-                             "lefschetz": {str(m): verdict.lefschetz_table[m]
-                                           for m in m_range}})
-        print(json.dumps(rows), file=out)
-    else:
-        out.write(sweep_csv(k_max, n_max, m_range))
+        print(json.dumps([{"k": k, "n": n, "status": verdict.status,
+                           "lefschetz": {str(m): verdict.lefschetz_table[m]
+                                         for m in m_range}}
+                          for k, n, verdict in grid]), file=out)
+        return
+    # text and csv: one row per (k, n, m), m ascending
+    rows = ["k,n,m,lefschetz,kn_parity,in_classified_range,verdict\n"]
+    for k, n, verdict in grid:
+        parity = "odd" if (k * n) % 2 else "even"
+        in_range = str(in_classified_range(k, n)).lower()
+        for m in m_range:
+            rows.append(f"{k},{n},{m},{verdict.lefschetz_table[m]},"
+                        f"{parity},{in_range},{verdict.status}\n")
+    out.write("".join(rows))
 
 
 def _cmd_obstruct(out, fmt, k, n):
@@ -135,7 +142,7 @@ def _cmd_obstruct(out, fmt, k, n):
                   file=out)
         print(f"assumptions: {', '.join(obj['assumptions'])}", file=out)
     else:
-        print(cert.to_json(), file=out)
+        print(json.dumps(cert.to_obj()), file=out)
 
 
 def _selftest_suites():

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 
-from .freepoly import FreeClass, dual_class_closed, render_free, wire_coeff
+from .freepoly import FreeClass, dual_class_closed, render_free
 from .ring import RingContext, SchurClass, lift, reduce_free
 
 
@@ -263,6 +263,12 @@ def _eval_operand(node, ctx: RingContext) -> FreeClass:
 
 # -- rendering ---------------------------------------------------------
 
+def wire_coeff(c) -> str:
+    """An exact coefficient as its JSON and CSV text: reduced `num/den`,
+    so an int c reads `c/1`."""
+    return f"{c.numerator}/{c.denominator}"
+
+
 def render(x: FreeClass, ctx: RingContext, fmt: str = "text") -> str:
     """Render a free polynomial and its Schur expansion in ctx."""
     reduced = reduce_free(x, ctx)
@@ -271,7 +277,9 @@ def render(x: FreeClass, ctx: RingContext, fmt: str = "text") -> str:
     if fmt == "json":
         free = [{"alpha": list(a), "coeff": wire_coeff(c)}
                 for a, c in x.sorted_terms()]
-        return json.dumps({"free": free, "schur": reduced.to_obj()})
+        schur = [{"partition": list(lam), "coeff": wire_coeff(c)}
+                 for lam, c in reduced.sorted_terms()]
+        return json.dumps({"free": free, "schur": schur})
     if fmt == "csv":
         lines = ["partition,coeff"]
         for lam, c in reduced.sorted_terms():

@@ -32,12 +32,6 @@ def exact(c):
     return Fraction(c)
 
 
-def wire_coeff(c) -> str:
-    """An exact coefficient as its JSON and CSV text: reduced `num/den`,
-    so an int c reads `c/1`."""
-    return f"{c.numerator}/{c.denominator}"
-
-
 def add_terms(a, b):
     """The sum of two term dicts, without zero coefficients."""
     terms = dict(a)
@@ -121,6 +115,8 @@ class FreeClass:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, FreeClass):
+            return NotImplemented
         self._check(other)
         return FreeClass(self.k, add_terms(self.terms, other.terms))
 
@@ -131,6 +127,9 @@ class FreeClass:
         return self + (-other)
 
     def __mul__(self, other):
+        # scalars go through scale(); any other operand is a TypeError
+        if not isinstance(other, FreeClass):
+            return NotImplemented
         self._check(other)
         terms = {}
         for a, ca in self.terms.items():
@@ -201,18 +200,21 @@ def render_free(p: FreeClass) -> str:
 
 def dual_class_recursive(j: int, k: int) -> FreeClass:
     """Degree-j part of the formal inverse of 1 + c1 + ... + ck, by the
-    recursion cbar_j = -sum_i c_i * cbar_{j-i}, filled bottom-up."""
+    recursion cbar_d = -sum_i c_i * cbar_{d-i}, filled bottom-up on term
+    dicts: c_i times a term raises its i-th exponent by one."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if j < 0:
         return FreeClass.zero(k)
-    cbar = [FreeClass.one(k)]
+    cbar = [{(0,) * k: 1}]
     for d in range(1, j + 1):
-        acc = FreeClass.zero(k)
+        acc = {}
         for i in range(1, min(d, k) + 1):
-            acc = acc + FreeClass.generator(k, i) * cbar[d - i]
-        cbar.append(-acc)
-    return cbar[j]
+            for alpha, c in cbar[d - i].items():
+                key = alpha[:i - 1] + (alpha[i - 1] + 1,) + alpha[i:]
+                acc[key] = acc.get(key, 0) - c
+        cbar.append(acc)
+    return FreeClass(k, cbar[j])
 
 
 def closed_coefficient(alpha) -> int:

@@ -100,16 +100,3 @@ def fpp_classification(k: int, n: int, m_range=range(-5, 6)) -> FppVerdict:
     status = "FPP" if (k * n) % 2 == 0 else "NoFPP"
     return FppVerdict(status, table)
 
-
-def sweep_csv(k_max: int, n_max: int, m_range=range(-5, 6)) -> str:
-    """CSV sweep over the (k,n,m) grid, rows in lexicographic order."""
-    rows = ["k,n,m,lefschetz,kn_parity,in_classified_range,verdict\n"]
-    for k in range(1, k_max + 1):
-        for n in range(1, n_max + 1):
-            verdict = fpp_classification(k, n, m_range)
-            parity = "odd" if (k * n) % 2 else "even"
-            in_range = str(in_classified_range(k, n)).lower()
-            for m in sorted(m_range):
-                rows.append(f"{k},{n},{m},{verdict.lefschetz_table[m]},"
-                            f"{parity},{in_range},{verdict.status}\n")
-    return "".join(rows)

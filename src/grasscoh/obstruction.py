@@ -16,7 +16,6 @@ recursion.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from math import isqrt
 
@@ -60,9 +59,6 @@ class Certificate(namedtuple(
             "assumptions": list(self.assumptions),
             "search_log": self.search_log,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj())
 
 
 def dispatch_case(k: int, n: int) -> str:

@@ -16,8 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .freepoly import (AmbientMismatch, FreeClass, add_terms, exact, render_terms,
-                       wire_coeff)
+from .freepoly import AmbientMismatch, FreeClass, add_terms, exact, render_terms
 from .partitions import conjugate
 
 
@@ -79,6 +78,8 @@ class SchurClass:
             raise ContextMismatch(f"{self.context} != {other.context}")
 
     def __add__(self, other):
+        if not isinstance(other, SchurClass):
+            return NotImplemented
         self._check(other)
         return SchurClass(self.context, add_terms(self.terms, other.terms))
 
@@ -114,10 +115,6 @@ class SchurClass:
     def sorted_terms(self):
         # lexicographic-descending partition order, per the wire format
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
-
-    def to_obj(self):
-        return [{"partition": list(lam), "coeff": wire_coeff(c)}
-                for lam, c in self.sorted_terms()]
 
     def __str__(self):
         return render_terms((f"sigma[{','.join(map(str, lam))}]", c)

@@ -1,13 +1,15 @@
+import io
 import random
 from functools import lru_cache
 from math import comb
 
 from hypothesis import example, given, settings, strategies as st
 
+from grasscoh.cli import run_cli
 from grasscoh.freepoly import FreeClass
 from grasscoh.lefschetz import (apply_adams, fpp_classification,
                                 in_classified_range, lefschetz_number,
-                                proposition_check, sweep_csv)
+                                proposition_check)
 from grasscoh.partitions import betti_numbers, partitions_in_box
 from grasscoh.ring import RingContext, reduce_free
 
@@ -152,9 +154,17 @@ class TestFppVerdict:
         assert verdict.lefschetz_table[1] == 6
 
 
+def sweep_csv(k_max, n_max, m_range="-5:5"):
+    """The fpp CSV sweep, as the CLI writes it."""
+    out = io.StringIO()
+    assert run_cli(["--format", "csv", "fpp", "--k-max", str(k_max),
+                    "--n-max", str(n_max), "--m-range", m_range], out=out) == 0
+    return out.getvalue()
+
+
 class TestSweep:
     def test_header_and_shape(self):
-        out = sweep_csv(2, 2, range(-1, 2))
+        out = sweep_csv(2, 2, "-1:1")
         lines = out.strip().split("\n")
         assert lines[0] == "k,n,m,lefschetz,kn_parity,in_classified_range,verdict"
         assert len(lines) == 1 + 2 * 2 * 3
@@ -163,6 +173,6 @@ class TestSweep:
         assert sweep_csv(3, 3) == sweep_csv(3, 3)
 
     def test_row_content(self):
-        out = sweep_csv(1, 1, range(-1, 0))
+        out = sweep_csv(1, 1, "-1:-1")
         assert out.strip().split("\n")[1] == \
             "1,1,-1,0,odd,false,OutsideClassifiedRange"

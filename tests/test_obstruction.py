@@ -248,7 +248,7 @@ class TestReport:
                 assert cert.assumptions
 
     def test_json_schema(self):
-        obj = json.loads(nontrivial_intersection_report(5, 10).to_json())
+        obj = json.loads(json.dumps(nontrivial_intersection_report(5, 10).to_obj()))
         assert obj["case"] == "Case2i"
         assert obj["k"] == 5 and obj["n"] == 10
         assert obj["witness"] == {"alpha": [0, 1, 0, 2, 0]}

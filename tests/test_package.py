@@ -92,3 +92,13 @@ def test_package_does_not_import_the_tracer_binding():
                            *modules],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_library_import_loads_no_json():
+    # the library returns values; only the writers, cli and expr.render,
+    # format them, so a plain import pays for neither json nor re nor enum
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import grasscoh; "
+             "print(sorted(m for m in ('json', 're', 'enum') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

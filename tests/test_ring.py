@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grasscoh import ring
+from grasscoh.expr import render
 from grasscoh.freepoly import FreeClass, dual_class_closed, total_chern
 from grasscoh.lefschetz import apply_adams
 from grasscoh.obstruction import Certificate, nontrivial_intersection_report
@@ -216,6 +217,15 @@ class TestRingStructure:
                 product()
         assert s.scale(2) == s + s
 
+    def test_mixed_free_and_schur_operands_are_type_errors(self):
+        f = FreeClass.one(2)
+        s = reduce_free(FreeClass.generator(2, 1), RingContext(2, 3))
+        for expression in (lambda: f * 2, lambda: f * s, lambda: f + 1,
+                           lambda: f + s, lambda: s + 1, lambda: s - f):
+            with pytest.raises(TypeError):
+                expression()
+        assert f.scale(2) == f + f
+
     def test_integrate_top(self):
         for k, n in [(1, 2), (2, 2), (2, 3)]:
             ctx = RingContext(k, n)
@@ -284,16 +294,21 @@ def _random_poly(rng, k, max_weight=6, nterms=4):
     return FreeClass(k, terms)
 
 
+def schur_json(x, ctx):
+    """The `schur` list of eval's JSON for the free class x."""
+    return json.loads(render(x, ctx, "json"))["schur"]
+
+
 class TestSerialization:
     def test_schur_json(self):
         ctx = RingContext(2, 2)
-        red = reduce_free(dual_class_closed(2, 2), ctx)
-        assert json.dumps(red.to_obj()) == '[{"partition": [2], "coeff": "1/1"}]'
+        obj = schur_json(dual_class_closed(2, 2), ctx)
+        assert json.dumps(obj) == '[{"partition": [2], "coeff": "1/1"}]'
 
     def test_json_order_lex_descending(self):
         ctx = RingContext(2, 3)
         s = SchurClass(ctx, {(1, 1): 1, (2,): 1, (3, 1): Fraction(1, 2)})
-        obj = s.to_obj()
+        obj = schur_json(lift(s), ctx)
         assert [t["partition"] for t in obj] == [[3, 1], [2], [1, 1]]
 
 
