@@ -2,6 +2,8 @@
 
 A FreeClass is a finitely supported map from exponent vectors to exact
 coefficients: ints, unless a rational input brings in Fractions (`exact`).
+It and ring.SchurClass derive from `Combination`, which defines their
+arithmetic, equality, hash and immutability once.
 The inverse classes cbar_i of the total class 1 + c1 + ... + ck are
 provided both by the defining recursion and by the closed multinomial
 formula; the two must agree (tested, not assumed).
@@ -10,6 +12,8 @@ formula; the two must agree (tested, not assumed).
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from .partitions import exponent_vectors_of_weight, multinomial, size, weight
 
@@ -32,18 +36,6 @@ def exact(c):
     return Fraction(c)
 
 
-def add_terms(a, b):
-    """The sum of two term dicts, without zero coefficients."""
-    terms = dict(a)
-    for key, c in b.items():
-        s = terms.get(key, 0) + c
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
-    return terms
-
-
 def render_terms(pairs):
     """Signed sum of (monomial text, coefficient) pairs in order: terms
     `<sign> <|c|>[*<monomial>]`, a positive first one unsigned; else "0"."""
@@ -55,14 +47,91 @@ def render_terms(pairs):
     return " ".join(pieces) or "0"
 
 
-class FreeClass:
-    """Element of Q[c1..ck].  Immutable by convention; operations return
-    new instances and never store zero coefficients."""
+class Combination:
+    """A finitely supported map `terms` from keys to nonzero exact
+    coefficients, over one `space`: the shared core of FreeClass and
+    SchurClass.  Immutable: attributes cannot be assigned and `terms` is a
+    read-only mapping.  Operations return new instances of the same class;
+    operands over different spaces raise the subclass's `_mismatch`."""
 
-    __slots__ = ("k", "terms")
+    __slots__ = ("space", "terms")
+
+    def __init__(self, space, terms):
+        # `terms`: a fresh dict of nonzero exact coefficients whose keys are
+        # valid for `space`; each subclass constructor checks, then stores here
+        _set_space(self, space)
+        _set_terms(self, MappingProxyType(terms))
+
+    @classmethod
+    def _of(cls, space, terms):
+        """An instance that takes over `terms`, a fresh dict whose keys are
+        valid for `space` and whose coefficients are exact, without its
+        zero coefficients.  No key is checked: the results of ring
+        operations come through here."""
+        if 0 in terms.values():
+            terms = {key: c for key, c in terms.items() if c}
+        self = object.__new__(cls)
+        _set_space(self, space)
+        _set_terms(self, MappingProxyType(terms))
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the checking constructor
+        return type(self), (self.space, dict(self.terms))
+
+    def is_zero(self):
+        return not self.terms
+
+    def _check(self, other):
+        if self.space != other.space:
+            raise self._mismatch(f"{self.space} != {other.space}")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        terms = self.terms.copy()
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return self._of(self.space, terms)
+
+    def __neg__(self):
+        return self._of(self.space, {key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, factor):
+        factor = exact(factor)
+        return self._of(self.space,
+                        {key: c * factor for key, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.space == other.space
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.space, frozenset(self.terms.items())))
+
+
+# the slots' own setters, which bypass the guard in __setattr__
+_set_space, _set_terms = Combination.space.__set__, Combination.terms.__set__
+
+
+class FreeClass(Combination):
+    """Element of Q[c1..ck]: a Combination over exponent vectors of
+    length k.  Its `space` is k, also read as `k`."""
+
+    __slots__ = ()
+    _mismatch = AmbientMismatch
+    k = Combination.space
 
     def __init__(self, k, terms=None):
-        self.k = k
         clean = {}
         if terms:
             for alpha, c in terms.items():
@@ -72,7 +141,7 @@ class FreeClass:
                 c = exact(c)
                 if c:
                     clean[tuple(alpha)] = c
-        self.terms = clean
+        Combination.__init__(self, k, clean)
 
     # -- constructors -------------------------------------------------
 
@@ -93,10 +162,7 @@ class FreeClass:
         alpha[i - 1] = 1
         return cls(k, {tuple(alpha): 1})
 
-    # -- basic queries ------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
+    # -- queries ------------------------------------------------------
 
     def coeff(self, alpha):
         if len(alpha) != self.k:
@@ -105,26 +171,10 @@ class FreeClass:
         return self.terms.get(tuple(alpha), 0)
 
     def homogeneous_component(self, q):
-        return FreeClass(self.k, {a: c for a, c in self.terms.items()
-                                  if weight(a) == q})
+        return FreeClass._of(self.k, {a: c for a, c in self.terms.items()
+                                      if weight(a) == q})
 
-    def _check(self, other):
-        if self.k != other.k:
-            raise AmbientMismatch(f"ambient k mismatch: {self.k} != {other.k}")
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, FreeClass):
-            return NotImplemented
-        self._check(other)
-        return FreeClass(self.k, add_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return FreeClass(self.k, {a: -c for a, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    # -- products -----------------------------------------------------
 
     def __mul__(self, other):
         # scalars go through scale(); any other operand is a TypeError
@@ -135,18 +185,8 @@ class FreeClass:
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(a, b))
-                s = terms.get(key, 0) + ca * cb
-                if s:
-                    terms[key] = s
-                elif key in terms:
-                    del terms[key]
-        return FreeClass(self.k, terms)
-
-    def scale(self, factor):
-        factor = exact(factor)
-        if not factor:
-            return FreeClass.zero(self.k)
-        return FreeClass(self.k, {a: c * factor for a, c in self.terms.items()})
+                terms[key] = terms.get(key, 0) + ca * cb
+        return FreeClass._of(self.k, terms)
 
     def power(self, exponent: int):
         if exponent < 0:
@@ -154,7 +194,8 @@ class FreeClass:
         if len(self.terms) == 1:
             # (c * x^alpha)^e = c^e * x^(e*alpha), in one step for any e
             (alpha, c), = self.terms.items()
-            return FreeClass(self.k, {tuple(exponent * a for a in alpha): c ** exponent})
+            return FreeClass._of(self.k, {tuple(exponent * a for a in alpha):
+                                          c ** exponent})
         if not self.terms and exponent:    # zero stays zero, at once
             return self
         out = FreeClass.one(self.k)
@@ -162,14 +203,7 @@ class FreeClass:
             out = out * self
         return out
 
-    # -- equality, rendering ------------------------------------------
-
-    def __eq__(self, other):
-        return (isinstance(other, FreeClass) and self.k == other.k
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.k, frozenset(self.terms.items())))
+    # -- rendering ----------------------------------------------------
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))

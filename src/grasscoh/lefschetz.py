@@ -77,16 +77,12 @@ def proposition_check(k_max: int, n_max: int, m_range) -> PropositionReport:
     return PropositionReport(cells_checked=cells, counterexamples=bad)
 
 
-CLASSIFIED_RANGE_RULE = "k<=3 and n>k, or k>3 and n>=2k^2-k-1"
-
-
 def in_classified_range(k: int, n: int) -> bool:
     return (k <= 3 and n > k) or (k > 3 and n >= 2 * k * k - k - 1)
 
 
 # status is FPP, NoFPP or OutsideClassifiedRange
-FppVerdict = namedtuple("FppVerdict", "status lefschetz_table range_rule",
-                        defaults=(CLASSIFIED_RANGE_RULE,))
+FppVerdict = namedtuple("FppVerdict", "status lefschetz_table")
 
 
 def fpp_classification(k: int, n: int, m_range=range(-5, 6)) -> FppVerdict:

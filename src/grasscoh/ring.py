@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .freepoly import AmbientMismatch, FreeClass, add_terms, exact, render_terms
+from .freepoly import AmbientMismatch, Combination, FreeClass, exact, render_terms
 from .partitions import conjugate
 
 
@@ -39,13 +39,15 @@ class ContextMismatch(ValueError):
     pass
 
 
-class SchurClass:
-    """Element of the ring: a finitely supported map from box partitions
-    to exact coefficients.  A key that is not a partition (weakly
-    decreasing positive parts) or leaves the box raises ValueError.
-    Immutable."""
+class SchurClass(Combination):
+    """Element of the ring: a Combination over the partitions in the box.
+    Its `space` is the RingContext, also read as `context`.  A key that is
+    not a partition (weakly decreasing positive parts) or leaves the box
+    raises ValueError."""
 
-    __slots__ = ("context", "terms")
+    __slots__ = ()
+    _mismatch = ContextMismatch
+    context = Combination.space
 
     def __init__(self, context: RingContext, terms=None):
         clean = {}
@@ -61,33 +63,10 @@ class SchurClass:
                 c = exact(c)
                 if c:
                     clean[lam] = c
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to SchurClass.{name}")
-
-    def is_zero(self):
-        return not self.terms
+        Combination.__init__(self, context, clean)
 
     def coeff(self, lam):
         return self.terms.get(tuple(lam), 0)
-
-    def _check(self, other):
-        if self.context != other.context:
-            raise ContextMismatch(f"{self.context} != {other.context}")
-
-    def __add__(self, other):
-        if not isinstance(other, SchurClass):
-            return NotImplemented
-        self._check(other)
-        return SchurClass(self.context, add_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return SchurClass(self.context, {l: -c for l, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def cup(self, other):
         return schur_mul(self, other)
@@ -97,20 +76,6 @@ class SchurClass:
         if not isinstance(other, SchurClass):
             return NotImplemented
         return schur_mul(self, other)
-
-    def scale(self, factor):
-        factor = exact(factor)
-        if not factor:
-            return SchurClass(self.context)
-        return SchurClass(self.context,
-                          {l: c * factor for l, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, SchurClass) and self.context == other.context
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.context, frozenset(self.terms.items())))
 
     def sorted_terms(self):
         # lexicographic-descending partition order, per the wire format
@@ -212,7 +177,7 @@ def act(p: FreeClass, s: SchurClass) -> SchurClass:
             coeff *= c
             for mu, mult in _reduce_monomial(alpha, k, n, lam):
                 terms[mu] = terms.get(mu, 0) + coeff * mult
-    return SchurClass(ctx, terms)
+    return SchurClass._of(ctx, terms)
 
 
 def reduce_free(p: FreeClass, ctx: RingContext) -> SchurClass:
@@ -271,7 +236,7 @@ def lift(s: SchurClass) -> FreeClass:
     for lam, c in s.terms.items():
         for alpha, g in giambelli(lam, k).terms.items():
             terms[alpha] = terms.get(alpha, 0) + c * g
-    return FreeClass(k, terms)
+    return FreeClass._of(k, terms)
 
 
 def integrate(x: SchurClass):
@@ -286,8 +251,7 @@ def pairing(x: SchurClass, y: SchurClass):
 
 def schur_mul(a: SchurClass, b: SchurClass) -> SchurClass:
     """Product on canonical forms: the Giambelli lift of a acting on b."""
-    if a.context != b.context:
-        raise ContextMismatch(f"{a.context} != {b.context}")
+    a._check(b)
     return act(lift(a), b)
 
 

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -48,6 +50,25 @@ class TestArithmetic:
             for e in range(6):
                 assert base.power(e) == acc, (base, e)
                 acc = acc * base
+
+    def test_immutable(self):
+        f = c(2, 1) - c(2, 2)
+        h, text = hash(f), str(f)
+        for name, value in (("k", 9), ("terms", {(0, 1): 1}), ("space", 3)):
+            with pytest.raises(AttributeError):
+                setattr(f, name, value)
+        for key, coeff in (((0, 1), 7), ((2, 0), 1), ((1, 0), 0)):
+            with pytest.raises(TypeError):
+                f.terms[key] = coeff
+        with pytest.raises(AttributeError):
+            del f.terms
+        assert (f.k, hash(f), str(f), f.is_zero()) == (2, h, text, False)
+        # copies rebuild through the checking constructor
+        assert pickle.loads(pickle.dumps(f)) == f == copy.deepcopy(f)
+        zero = FreeClass.zero(2)
+        with pytest.raises(TypeError):
+            zero.terms[(0, 0)] = 0
+        assert zero.is_zero() and str(zero) == "0"
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):

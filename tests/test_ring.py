@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -329,6 +331,20 @@ def test_value_type_contracts():
     with pytest.raises(AttributeError):
         x.context = RingContext(2, 4)
     assert x.terms == {(1,): 1} and x.context == ctx
+    # `terms` is read-only: neither a new key nor a zero gets in, so the
+    # hash, the text and is_zero() stay as they were
+    h, text = hash(x), str(x)
+    for key, c in (((2,), 1), ((1,), 5), ((1,), 0)):
+        with pytest.raises(TypeError):
+            x.terms[key] = c
+    with pytest.raises(AttributeError):
+        del x.context
+    assert (hash(x), str(x), x.is_zero()) == (h, text, False)
+    assert pickle.loads(pickle.dumps(x)) == x == copy.copy(x)
+    zero = SchurClass(ctx)
+    with pytest.raises(TypeError):
+        zero.terms[(1,)] = 0
+    assert zero.is_zero() and str(zero) == "0"
     with pytest.raises(TypeError):
         len(x)
     assert ring.GrassElement is SchurClass
@@ -419,6 +435,22 @@ class TestMixedCoefficients:
             for n in range(k + 1, 30):
                 coeff = nontrivial_intersection_report(k, n).witness_coefficient
                 assert coeff is None or type(coeff) is int
+
+    @settings(max_examples=60, deadline=None)
+    @given(ring_triples(), st.sampled_from([0, -2, Fraction(1, 3)]),
+           st.integers(0, 2))
+    def test_unchecked_results_are_valid(self, triple, factor, e):
+        # ring operations build their results without checking a key
+        # (Combination._of): each must be what the checking constructor
+        # makes of its own terms, with no zero, and with exact coefficients
+        a, b, _ = triple
+        fa, fb = lift(a), lift(b)
+        for r in (a + b, a - b, a - a, -a, a.scale(factor), schur_mul(a, b),
+                  fa, fa + fb, fa - fa, -fa, fa.scale(factor), fa * fb,
+                  fa.power(e), reduce_free(fa * fb, a.context)):
+            assert type(r)(r.space, dict(r.terms)) == r
+            assert all(c != 0 and type(c) in (int, Fraction)
+                       for c in r.terms.values())
 
 
 class TestSchurFirstElements:
