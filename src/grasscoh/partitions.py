@@ -31,26 +31,19 @@ def multinomial(alpha) -> int:
 
 
 def exponent_vectors_of_weight(w: int, k: int):
-    """All length-k tuples (a_1..a_k) with sum i*a_i == w, deterministic
-    order; none for w < 0."""
+    """All length-k tuples (a_1..a_k) with sum i*a_i == w, in descending
+    lexicographic order of (a_k, ..., a_1); none for w < 0.  Each is read
+    from a partition of w into parts <= k, a_i counting the parts equal
+    to i, so the order is that of `partitions_in_box`, and a vector costs
+    the length of its partition, at most w."""
+    if k < 1:
+        return [()] if w == 0 else []
     out = []
-    vec = [0] * k
-
-    def rec(rem, i):
-        if i == 1:
-            vec[0] = rem
-            out.append(tuple(vec))
-            vec[0] = 0
-            return
-        for a in range(rem // i, -1, -1):
-            vec[i - 1] = a
-            rec(rem - a * i, i - 1)
-        vec[i - 1] = 0
-
-    if k >= 1 and w >= 0:
-        rec(w, k)
-    elif w == 0:
-        out.append(())
+    for lam in partitions_in_box(w, max(w, 1), k):
+        vec = [0] * k
+        for p in lam:
+            vec[p - 1] += 1
+        out.append(tuple(vec))
     return out
 
 
@@ -69,26 +62,34 @@ def partitions_in_box(i: int, k: int, n: int):
     """All partitions of i with at most k parts, each part at most n.
 
     Output order is lexicographic descending, so enumeration is
-    byte-for-byte reproducible.  Every branch taken ends in a partition,
-    so the cost is linear in the output.
+    byte-for-byte reproducible.  The walk fills rows greedily (parts
+    equal to the cap n, then the remainder); each step then lowers by one
+    the last part j that can drop while the parts from j on still fit in
+    rows j.. under the lowered cap, and refills those rows greedily.  A
+    step costs the length of the partition it writes, so the cost is
+    linear in the output.
     """
     if k < 1 or n < 1:
         raise ValueError("box dimensions must be positive")
+    if not 0 <= i <= k * n:
+        return []
     out = []
-
-    def rec(rem, rows_left, cap, prefix):
-        if rem == 0:
-            out.append(tuple(prefix))
-            return
-        # a part below ceil(rem / rows_left) leaves too much for the rows below
-        for p in range(min(cap, rem), -(-rem // rows_left) - 1, -1):
-            prefix.append(p)
-            rec(rem - p, rows_left - 1, p, prefix)
-            prefix.pop()
-
-    if 0 <= i <= k * n:
-        rec(i, k, n, [])
-    return out
+    lam, j, rest, cap = [], 0, i, n
+    while True:
+        del lam[j:]
+        full, rem = divmod(rest, cap)
+        lam += [cap] * full
+        if rem:
+            lam.append(rem)
+        out.append(tuple(lam))
+        rest = 0
+        for j in range(len(lam) - 1, -1, -1):
+            rest += lam[j]
+            cap = lam[j] - 1
+            if rest <= (k - j) * cap:
+                break
+        else:
+            return out
 
 
 @lru_cache(maxsize=None)

@@ -109,37 +109,29 @@ GrassElement = SchurClass
 def vertical_strips(parts, size, max_rows, max_part):
     """Partitions obtained from `parts` by adding a vertical strip of
     `size` boxes (at most one box per row), pruned to the
-    max_rows x max_part box.  Deterministic order.  Memoised, so the
+    max_rows x max_part box.  Rows are decided from the top, and a strip
+    that boxes a row comes before one that skips it.  Memoised, so the
     result is a shared tuple."""
     nrows = len(parts)
-    if nrows > max_rows:
+    if nrows > max_rows or (parts and parts[0] > max_part):
         return ()
-    lam = list(parts) + [0] * (max_rows - nrows)
     out = []
-    mu = [0] * max_rows
-
-    def rec(row, left, prev):
-        # prev = value of mu[row-1]; adding at most one box per row
+    # (row, boxes left, part above, parts so far); "skip this row" is
+    # pushed before "box this row", so boxing is popped first
+    stack = [(0, size, max_part, ())]
+    while stack:
+        row, left, above, mu = stack.pop()
         if left == 0:
-            res = lam[row:]
-            cand = tuple(mu[:row]) + tuple(res)
-            # remaining rows unchanged; still decreasing since mu[row-1] >= lam[row-1] >= lam[row]
-            while cand and cand[-1] == 0:
-                cand = cand[:-1]
-            out.append(cand)
-            return
-        if row == max_rows or left > max_rows - row:
-            return
-        up = lam[row] + 1
-        if up <= prev and up <= max_part:
-            mu[row] = up
-            rec(row + 1, left - 1, up)
-        mu[row] = lam[row]
-        rec(row + 1, left, lam[row])
-
-    if parts and parts[0] > max_part:
-        return ()
-    rec(0, size, max_part)
+            out.append(mu + parts[row:])
+        elif left <= max_rows - row:
+            part = parts[row] if row < nrows else 0
+            # below the last row a skipped row would end every strip, as
+            # no row under a zero row can take a box
+            if row < nrows:
+                stack.append((row + 1, left, part, mu + (part,)))
+            # above <= max_part: it starts there and each row only lowers it
+            if part < above:
+                stack.append((row + 1, left - 1, part + 1, mu + (part + 1,)))
     return tuple(out)
 
 

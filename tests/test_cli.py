@@ -258,6 +258,18 @@ class TestTotality:
         value = (10 ** 100 - 1) ** 100
         assert out == f"{value}\n= {value}*sigma[]\n"
 
+    # boxes with more rows than the interpreter's default recursion limit:
+    # enumeration keeps no stack frame per row
+    @pytest.mark.parametrize("argv, out", [
+        (["eval", "--k", "1200", "--n", "3", "c1"], "1*c1\n= 1*sigma[1]\n"),
+        (["dual", "--k", "1200", "--i", "1"], "- 1*c1\n"),
+        (["eval", "--k", "1200", "--n", "1", "cbar(1)"],
+         "- 1*c1\n= - 1*sigma[1]\n"),
+        (["eval", "--k", "100000", "--n", "3", "c1"], "1*c1\n= 1*sigma[1]\n"),
+    ])
+    def test_tall_box(self, argv, out):
+        assert run_checked(argv) == (0, out)
+
     @pytest.mark.parametrize("argv", [["--help"], ["eval", "-h"]])
     def test_help_returns_zero(self, argv):
         code, out = run_checked(argv)
@@ -483,6 +495,10 @@ def test_format_matrix(command, fmt):
 # -- argv fuzz: a bounded token alphabet, k and n <= 4, exponents <= 3 --
 
 SIZES = st.sampled_from(["1", "2", "3", "4"])
+# eval and dual also draw a tall box: more rows than the 1,000 frames of
+# the default recursion limit and than the 2,000 hypothesis adds in a test
+TALL = "2500"
+K_SIZES = st.sampled_from(["1", "2", "3", "4", TALL])
 _ATOMS = st.sampled_from(["0", "2", "1/2", "c1", "c2", "c4", "cbar(0)",
                           "cbar(3)", "cbar(5)", "sigma[]", "sigma[1]",
                           "sigma[2,1]", "sigma[4,4]", "-c1"])
@@ -495,12 +511,13 @@ EXPRESSIONS = st.lists(st.tuples(st.sampled_from("+-*"), _FACTORS),
                        min_size=1, max_size=3).map(
     lambda pairs: "".join(op + f for op, f in pairs)[1:])
 # edits bring in bad values, malformed expressions and stray options
-TOKENS = st.sampled_from([
+_WORDS = st.sampled_from([
     "eval", "dual", "betti", "lefschetz", "fpp", "obstruct", "--format",
     "text", "json", "csv", "--k", "--n", "--i", "--m", "--k-max", "--n-max",
     "--m-range", "--method", "closed", "recursive", "both", "-1:1", "2:0",
     "0:3", "x", "", "-h", "--help", "-1", "0", "c5", "sigma[1,2]", "c1^",
-    "(c1", "1/0"]) | SIZES | EXPRESSIONS
+    "(c1", "1/0"])
+TOKENS = _WORDS | SIZES | EXPRESSIONS
 
 
 @st.composite
@@ -513,10 +530,14 @@ def shaped_argv(draw):
     cmd = draw(st.just("eval") | st.sampled_from(["dual", "betti", "lefschetz",
                                                   "fpp", "obstruct"]))
     argv = fmt + [cmd]
+    # in the tall box an expression has one operation at most: a chain of
+    # powers there has millions of free terms in 2,500 variables
     if cmd == "eval":
-        argv += ["--k", draw(SIZES), "--n", draw(SIZES), draw(EXPRESSIONS)]
+        k = draw(K_SIZES)
+        argv += ["--k", k, "--n", draw(SIZES),
+                 draw(_BASES if k == TALL else EXPRESSIONS)]
     elif cmd == "dual":
-        argv += ["--k", draw(SIZES), "--i", draw(SIZES), "--method",
+        argv += ["--k", draw(K_SIZES), "--i", draw(SIZES), "--method",
                  draw(st.sampled_from(["closed", "recursive", "both"]))]
     elif cmd == "fpp":
         argv += ["--k-max", draw(SIZES), "--n-max", draw(SIZES), "--m-range",
@@ -531,7 +552,8 @@ def shaped_argv(draw):
         if edit == "delete":
             del argv[pos]
         else:
-            argv[pos:pos + (edit == "replace")] = [draw(TOKENS)]
+            tokens = (_WORDS | SIZES | _BASES) if TALL in argv else TOKENS
+            argv[pos:pos + (edit == "replace")] = [draw(tokens)]
     return argv
 
 

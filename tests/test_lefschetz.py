@@ -5,6 +5,7 @@ from math import comb
 
 from hypothesis import example, given, settings, strategies as st
 
+from grasscoh import lefschetz
 from grasscoh.cli import run_cli
 from grasscoh.freepoly import FreeClass
 from grasscoh.lefschetz import (apply_adams, fpp_classification,
@@ -128,6 +129,27 @@ class TestProposition:
         report = proposition_check(12, 12, range(-5, 6))
         assert report.passed
         assert report.cells_checked == 12 * 12 * 11
+
+    def test_catches_a_closed_form_one_factor_short(self, monkeypatch):
+        # L(2) of G(3,4) reads 651 instead of 11,811, and no value becomes
+        # 0, so only the Betti-row trace sum tells the two apart
+        def one_factor_short(m, ctx):
+            k, n = sorted(ctx)
+            if m in (1, -1):
+                return lefschetz_number(m, ctx)
+            lef, m_j, m_nj = 1, 1, m ** n
+            for _ in range(k - 1):
+                m_j *= m
+                m_nj *= m
+                lef = lef * (m_nj - 1) // (m_j - 1)
+            return lef
+
+        assert one_factor_short(2, RingContext(3, 4)) == 651
+        monkeypatch.setattr(lefschetz, "lefschetz_number", one_factor_short)
+        report = proposition_check(6, 6, range(-3, 4))
+        assert not report.passed
+        # every m but 0, 1 and -1, in each of the 36 boxes
+        assert len(report.counterexamples) == 4 * 36
 
     def test_g33_degree_minus_one(self):
         assert lefschetz_number(-1, RingContext(3, 3)) == 0

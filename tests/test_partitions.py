@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import pytest
@@ -55,6 +56,21 @@ def test_box_order_lex_descending():
 def test_box_total_is_binomial(k, n):
     total = sum(len(partitions_in_box(i, k, n)) for i in range(k * n + 1))
     assert total == comb(k + n, k)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_box_matches_brute_force(k, n):
+    # every row vector with parts <= n, kept when weakly decreasing, then
+    # sorted descending: sets and order both
+    by_size = {}
+    for rows in itertools.product(range(n + 1), repeat=k):
+        if all(a >= b for a, b in zip(rows, rows[1:])):
+            by_size.setdefault(sum(rows), []).append(
+                tuple(p for p in rows if p))
+    for i in range(-1, k * n + 2):
+        assert partitions_in_box(i, k, n) == \
+            sorted(by_size.get(i, []), reverse=True), i
 
 
 def test_counts_match_enumeration():
@@ -135,6 +151,21 @@ def test_expvec_enumeration_matches_weight():
             assert len(set(vecs)) == len(vecs)
             for v in vecs:
                 assert len(v) == k and weight(v) == w
+
+
+def test_expvecs_match_brute_force():
+    # every vector with a_i <= w // i, kept at weight w, then sorted
+    # descending by (a_k, ..., a_1): sets and order both
+    for k in range(1, 6):
+        for w in range(11):
+            vecs = [v for v in itertools.product(
+                        *(range(w // i + 1) for i in range(1, k + 1)))
+                    if weight(v) == w]
+            vecs.sort(key=lambda v: v[::-1], reverse=True)
+            assert exponent_vectors_of_weight(w, k) == vecs, (w, k)
+    assert exponent_vectors_of_weight(-1, 3) == []
+    assert exponent_vectors_of_weight(0, 0) == [()]
+    assert exponent_vectors_of_weight(2, 0) == []
 
 
 def test_expvec_count_is_bounded_part_partitions():

@@ -72,6 +72,32 @@ class TestPieri:
                     assert lhs == rhs
 
 
+def brute_force_strips(lam, size, max_rows, max_part):
+    """Every choice of one box or none per row, boxing first, kept when
+    it adds `size` boxes and leaves a partition in the box."""
+    padded = tuple(lam) + (0,) * (max_rows - len(lam))
+    out = []
+    for boxes in itertools.product((1, 0), repeat=max_rows):
+        mu = [p + b for p, b in zip(padded, boxes)]
+        if sum(boxes) == size and (not mu or mu[0] <= max_part) and \
+                all(a >= b for a, b in zip(mu, mu[1:])):
+            out.append(tuple(p for p in mu if p))
+    return out
+
+
+def test_vertical_strips_match_brute_force():
+    # every partition in boxes up to 5 x 5, with the row and part bounds
+    # at the box edge and one beyond it; sets and order both
+    cases = {(lam, rows, cols)
+             for k in range(1, 6) for n in range(1, 6)
+             for i in range(k * n + 1) for lam in partitions_in_box(i, k, n)
+             for rows in (k, k + 1) for cols in (n, n + 1)}
+    for lam, rows, cols in cases:
+        for size in range(rows + 2):
+            assert list(vertical_strips(lam, size, rows, cols)) == \
+                brute_force_strips(lam, size, rows, cols), (lam, size, rows, cols)
+
+
 class TestReduce:
     def test_cp2_top_class(self):
         ctx = RingContext(1, 2)
