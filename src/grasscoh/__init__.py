@@ -21,13 +21,14 @@ __all__ = [
 ]
 
 # every memo in the package; clear_caches() empties them all
-_MEMOS = (ring.vertical_strips, ring._reduce_monomial, ring._giambelli,
+_MEMOS = (ring.vertical_strips, ring._reduce_monomial,
           partitions.count_in_box, partitions._gaussian_binomial)
 
 
 def clear_caches():
     for memo in _MEMOS:
         memo.cache_clear()
+    ring._lifts.clear()
 
 
 def backend_name() -> str:

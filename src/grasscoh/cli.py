@@ -7,13 +7,14 @@ from __future__ import annotations
 import json
 import os
 import sys
+from math import comb
 
 from . import backend_name, obstruction
 from .expr import ParseError, eval_expr, parse, render
 from .freepoly import dual_class_closed, dual_class_recursive, render_free
 from .lefschetz import (fpp_classification, in_classified_range, lefschetz_number,
                         proposition_check)
-from .partitions import betti_numbers, total_boxes_count
+from .partitions import betti_numbers
 from .ring import RingContext
 
 EXIT_OK = 0
@@ -186,7 +187,7 @@ def _selftest_suites():
                           for i in range(k * n + 1)]
                 if counts != betti_numbers(k, n):
                     return False
-                if sum(counts) != total_boxes_count(k, n):
+                if sum(counts) != comb(k + n, k):
                     return False
         return True
 

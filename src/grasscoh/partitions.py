@@ -9,7 +9,7 @@ exact integer arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 
 def weight(alpha) -> int:
@@ -32,19 +32,27 @@ def multinomial(alpha) -> int:
 
 def exponent_vectors_of_weight(w: int, k: int):
     """All length-k tuples (a_1..a_k) with sum i*a_i == w, in descending
-    lexicographic order of (a_k, ..., a_1); none for w < 0.  Each is read
-    from a partition of w into parts <= k, a_i counting the parts equal
-    to i, so the order is that of `partitions_in_box`, and a vector costs
-    the length of its partition, at most w."""
-    if k < 1:
+    lexicographic order of (a_k, ..., a_1); none for w < 0.  a_i counts
+    the parts i of a partition of w: the walk fills `rest` greedily with
+    parts <= cap, then drops one smallest part cap + 1 > 1 and refills
+    its weight and that of the 1s under the cap.  O(k) per vector."""
+    if k < 1 or w < 0:
         return [()] if w == 0 else []
-    out = []
-    for lam in partitions_in_box(w, max(w, 1), k):
-        vec = [0] * k
-        for p in lam:
-            vec[p - 1] += 1
+    vec = [0] * k
+    out, cap, rest = [], k, w
+    while True:
+        full, rem = divmod(rest, cap)
+        vec[cap - 1] += full
+        if rem:
+            vec[rem - 1] += 1
         out.append(tuple(vec))
-    return out
+        cap = 1
+        while cap < k and not vec[cap]:
+            cap += 1
+        if cap == k:
+            return out
+        vec[cap] -= 1
+        rest, vec[0] = cap + 1 + vec[0], 0
 
 
 def conjugate(parts):
@@ -126,7 +134,3 @@ def count_in_box(i: int, k: int, n: int) -> int:
 def betti_numbers(k: int, n: int):
     """Box partition counts for every degree 0..k*n."""
     return [count_in_box(i, k, n) for i in range(k * n + 1)]
-
-
-def total_boxes_count(k: int, n: int) -> int:
-    return comb(k + n, k)

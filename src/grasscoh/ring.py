@@ -5,10 +5,11 @@ monomial c^alpha of p acts on sigma_lam by iterated vertical strips, with
 two separate prunes: partitions with more than k rows vanish already in
 k variables, partitions with a part larger than n vanish in the
 quotient.  `reduce_free(p)` is p acting on sigma_(), and `schur_mul(a, b)`
-is the Giambelli lift of a acting on b.  The chains and the lifts are
-memoised, and integer classes stay integer (`freepoly.exact`).  The
-ideal relations are then a testable consequence, not an implementation
-input.
+is the Giambelli lift of a acting on b.  The lifts are solved from the
+same vertical strips, so one kernel carries reduction, products and
+lifts.  The chains and the lifts are memoised, and integer classes stay
+integer (`freepoly.exact`).  The ideal relations are then a testable
+consequence, not an implementation input.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .freepoly import AmbientMismatch, Combination, FreeClass, exact, render_terms
-from .partitions import conjugate
 
 
 class RingContext(namedtuple("RingContext", "k n")):
@@ -177,47 +177,47 @@ def reduce_free(p: FreeClass, ctx: RingContext) -> SchurClass:
     return act(p, SchurClass(ctx, {(): 1}))
 
 
+# the free lift of every sigma_lam solved so far, one dict per k
+_lifts = {}
+
+
 def giambelli(lam, k: int) -> FreeClass:
-    """Free-ring lift of sigma_lam by the dual Jacobi-Trudi determinant
-    det(c_{lam'_i - i + j}) over the conjugate partition.  Memoised, so
-    the result is shared."""
-    return _giambelli(tuple(lam), k)
-
-
-@lru_cache(maxsize=None)
-def _giambelli(lam, k):
-    conj = conjugate(lam)
-    if any(p > k for p in conj):
-        raise ValueError(f"partition {lam} needs more than {k} rows")
-    m = len(conj)
-
-    def expansion(row, cols):
-        # nonzero entries c_d, d = conj[row] - row + j, of the first row of
-        # the minor on rows row.. and columns cols, with their cofactors
-        for pos, j in enumerate(cols):
-            d = conj[row] - row + j
-            if 0 <= d <= k:
-                yield pos, d, cols[:pos] + cols[pos + 1:]
-
-    # the column sets of the minors the expansion reaches, row by row;
-    # then their determinants from the last row up, each one computed once
-    levels = [{tuple(range(m))}]
-    for row in range(m - 1):
-        levels.append({rest for cols in levels[-1]
-                       for _, _, rest in expansion(row, cols)})
-    below = {(): FreeClass.one(k)}
-    for row in range(m - 1, -1, -1):
-        here = {}
-        for cols in levels[row]:
-            acc = FreeClass.zero(k)
-            for pos, d, rest in expansion(row, cols):
-                term = below[rest]
-                if d:
-                    term = FreeClass.generator(k, d) * term
-                acc = acc + term if pos % 2 == 0 else acc - term
-            here[cols] = acc
-        below = here
-    return below[tuple(range(m))]
+    """Free-ring lift of sigma_lam, solved from the Pieri rule: with h the
+    length of lam and rest lam less its first column, c_h * sigma_rest is
+    sigma_lam plus the other vertical strips of h boxes on rest, and lam
+    dominates each of them.  Memoised per k, so the result is shared."""
+    lam = tuple(lam)
+    lifts = _lifts.get(k) or _lifts.setdefault(k, {(): FreeClass.one(k)})
+    if lam in lifts:
+        return lifts[lam]
+    if len(lam) > k or any(a < b for a, b in zip(lam, lam[1:])) or \
+            (lam and lam[-1] < 1):
+        raise ValueError(f"{list(lam)} is not a partition with at most {k} rows")
+    # the (rest, other strips) step of every partition not yet lifted
+    steps = {}
+    stack = [lam]
+    while stack:
+        nu = stack.pop()
+        if nu in lifts or nu in steps:
+            continue
+        rest = tuple(p - 1 for p in nu if p > 1)
+        others = [mu for mu in vertical_strips(rest, len(nu), k, nu[0])
+                  if mu != nu]
+        steps[nu] = rest, others
+        stack += [rest] + others
+    # rest is smaller and every other strip lexicographically below nu,
+    # so each lift is solved before a step reads it
+    for nu in sorted(steps, key=lambda p: (sum(p), p)):
+        rest, others = steps[nu]
+        h = len(nu)
+        # c_h times a term raises its h-th exponent by one
+        terms = {a[:h - 1] + (a[h - 1] + 1,) + a[h:]: c
+                 for a, c in lifts[rest].terms.items()}
+        for mu in others:
+            for a, c in lifts[mu].terms.items():
+                terms[a] = terms.get(a, 0) - c
+        lifts[nu] = FreeClass._of(k, terms)
+    return lifts[lam]
 
 
 def lift(s: SchurClass) -> FreeClass:
@@ -245,12 +245,3 @@ def schur_mul(a: SchurClass, b: SchurClass) -> SchurClass:
     """Product on canonical forms: the Giambelli lift of a acting on b."""
     a._check(b)
     return act(lift(a), b)
-
-
-def complement(lam, k: int, n: int):
-    """The Poincare-dual partition in the k x n box."""
-    padded = tuple(lam) + (0,) * (k - len(lam))
-    out = tuple(n - p for p in reversed(padded))
-    while out and out[-1] == 0:
-        out = out[:-1]
-    return tuple(p for p in out if p > 0)

@@ -21,7 +21,7 @@ import pytest
 from grasscoh import cli, obstruction
 from grasscoh.freepoly import FreeClass
 from grasscoh.lefschetz import apply_adams
-from grasscoh.ring import RingContext, SchurClass, complement, pairing, schur_mul
+from grasscoh.ring import RingContext, SchurClass, pairing, schur_mul
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE.parent / "perfbench" / "golden.tsv"
@@ -38,6 +38,12 @@ def run(argv):
 
 def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def complement(lam, k, n):
+    """The Poincare-dual partition of lam in the k x n box."""
+    padded = tuple(lam) + (0,) * (k - len(lam))
+    return tuple(n - p for p in reversed(padded) if n - p > 0)
 
 
 def golden_rows():

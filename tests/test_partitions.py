@@ -168,6 +168,13 @@ def test_expvecs_match_brute_force():
     assert exponent_vectors_of_weight(2, 0) == []
 
 
+def test_expvecs_of_two_slots_in_closed_form():
+    # k = 2: (w - 2j, j) for j from w // 2 down, far past the brute force
+    w = 3000
+    assert exponent_vectors_of_weight(w, 2) == \
+        [(w - 2 * j, j) for j in range(w // 2, -1, -1)]
+
+
 def test_expvec_count_is_bounded_part_partitions():
     # vectors of weight w with k slots <-> partitions of w into parts <= k
     def p_bounded(w, m):

@@ -15,12 +15,37 @@ from grasscoh.lefschetz import apply_adams
 from grasscoh.obstruction import Certificate, nontrivial_intersection_report
 from grasscoh.partitions import partitions_in_box, weight
 from grasscoh.ring import (ContextMismatch, RingContext, SchurClass, act,
-                           complement, giambelli, integrate, lift, pairing,
-                           reduce_free, schur_mul, vertical_strips)
+                           giambelli, integrate, lift, pairing, reduce_free,
+                           schur_mul, vertical_strips)
 
 
 def sigma(ctx, lam):
     return SchurClass(ctx, {tuple(lam): 1})
+
+
+def complement(lam, k, n):
+    """The Poincare-dual partition of lam in the k x n box."""
+    padded = tuple(lam) + (0,) * (k - len(lam))
+    return tuple(n - p for p in reversed(padded) if n - p > 0)
+
+
+def jacobi_trudi(lam, k):
+    """det(c_{lam'_i - i + j}) by the Leibniz sum over permutations, on a
+    plain dict of exponent vectors: a lift that never reads a strip."""
+    conj = [sum(p > c for p in lam) for c in range(lam[0] if lam else 0)]
+    out = {}
+    for perm in itertools.permutations(range(len(conj))):
+        alpha = [0] * k
+        for i, j in enumerate(perm):
+            d = conj[i] - i + j
+            if not 0 <= d <= k:
+                break
+            if d:
+                alpha[d - 1] += 1
+        else:
+            sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+            out[tuple(alpha)] = out.get(tuple(alpha), 0) + sign
+    return {alpha: c for alpha, c in out.items() if c}
 
 
 def pieri(s, i):
@@ -201,12 +226,29 @@ class TestGiambelli:
         with pytest.raises(ValueError):
             giambelli((1, 1, 1), 2)
 
+    def test_not_a_partition(self):
+        for lam in [(2, 0), (1, 2), (0,), (-1,)]:
+            with pytest.raises(ValueError):
+                giambelli(lam, 3)
+
     def test_long_row(self):
         ctx = RingContext(5, 15)
         assert reduce_free(giambelli((15,), 5), ctx) == sigma(ctx, (15,))
 
     def test_list_argument(self):
         assert giambelli([2, 1], 3) is giambelli((2, 1), 3)
+
+    def test_long_row_in_eight_rows(self):
+        ctx = RingContext(8, 24)
+        assert reduce_free(giambelli((24,), 8), ctx) == sigma(ctx, (24,))
+
+    def test_matches_leibniz_determinant(self):
+        # every lambda in the k x 5 box holds every k x n box with n <= 5
+        for k in range(1, 6):
+            for i in range(5 * k + 1):
+                for lam in partitions_in_box(i, k, 5):
+                    assert dict(giambelli(lam, k).terms) == \
+                        jacobi_trudi(lam, k), (lam, k)
 
     def test_round_trip(self):
         for k in range(1, 6):
