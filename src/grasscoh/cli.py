@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from math import comb
+from math import comb, factorial, prod
 
 from . import backend_name, obstruction
 from .expr import ParseError, eval_expr, parse, render
@@ -67,14 +67,12 @@ def _cmd_eval(out, fmt, k, n, expression):
 def _cmd_dual(out, fmt, k, i, method):
     if k < 1 or i < 0:
         raise ValueError("need k >= 1 and i >= 0")
-    closed = dual_class_closed(i, k)
-    if method == "closed":
-        print(render_free(closed), file=out)
+    if method != "both":
+        # only the chosen class: the other one could cost more than it
+        build = dual_class_closed if method == "closed" else dual_class_recursive
+        print(render_free(build(i, k)), file=out)
         return
-    recursive = dual_class_recursive(i, k)
-    if method == "recursive":
-        print(render_free(recursive), file=out)
-        return
+    closed, recursive = dual_class_closed(i, k), dual_class_recursive(i, k)
     print(f"closed:    {render_free(closed)}", file=out)
     print(f"recursive: {render_free(recursive)}", file=out)
     if closed != recursive:
@@ -132,25 +130,30 @@ def _cmd_fpp(out, fmt, k_max, n_max, m_range):
 
 def _cmd_obstruct(out, fmt, k, n):
     cert = obstruction.nontrivial_intersection_report(k, n)
-    if fmt == "text":
-        obj = cert.to_obj()
-        print(f"case: {obj['case']}  (k={obj['k']}, n={obj['n']})", file=out)
-        if obj["witness"] is not None:
-            print(f"witness: {obj['witness']['alpha']} "
-                  f"coefficient {obj['coefficient']}", file=out)
-        if obj["search_log"] is not None:
-            print(f"search_log: {json.dumps(obj['search_log'], sort_keys=True)}",
-                  file=out)
-        print(f"assumptions: {', '.join(obj['assumptions'])}", file=out)
-    else:
-        print(json.dumps(cert.to_obj()), file=out)
+    alpha, coeff = cert.witness_monomial, cert.witness_coefficient
+    if fmt == "json":
+        # tuples print as JSON arrays
+        print(json.dumps({
+            "case": cert.case_tag, "k": cert.k, "n": cert.n,
+            "witness": None if alpha is None else {"alpha": alpha},
+            "coefficient": None if coeff is None else str(coeff),
+            "assumptions": cert.assumptions, "search_log": cert.search_log}),
+            file=out)
+        return
+    print(f"case: {cert.case_tag}  (k={cert.k}, n={cert.n})", file=out)
+    if alpha is not None:
+        print(f"witness: {list(alpha)} coefficient {coeff}", file=out)
+    if cert.search_log is not None:
+        print(f"search_log: {json.dumps(cert.search_log, sort_keys=True)}",
+              file=out)
+    print(f"assumptions: {', '.join(cert.assumptions)}", file=out)
 
 
 def _selftest_suites():
     from .partitions import (conjugate, exponent_vectors_of_weight,
                              multinomial, partitions_in_box)
-    from .ring import reduce_free
-    from .freepoly import total_chern
+    from .ring import integrate, reduce_free
+    from .freepoly import FreeClass, total_chern
 
     def lemma_equivalence():
         return all(dual_class_closed(i, k) == dual_class_recursive(i, k)
@@ -164,9 +167,16 @@ def _selftest_suites():
                    for beta in exponent_vectors_of_weight(w, k))
 
     def ideal_relations():
-        return all(reduce_free(dual_class_closed(n + j, k), RingContext(k, n)).is_zero()
-                   for k in range(1, 4) for n in range(k + 1, 6)
-                   for j in range(1, k + 1))
+        # the relations vanish; and, which a reduction sending every class to
+        # zero would fail, sigma_1^(kn) integrates to the degree of G(k,n),
+        # (kn)! prod_{i<k} i!/(n+i)!
+        boxes = [RingContext(k, n) for k in range(1, 4) for n in range(k + 1, 6)]
+        return all(reduce_free(dual_class_closed(c.n + j, c.k), c).is_zero()
+                   for c in boxes for j in range(1, c.k + 1)) and all(
+            integrate(reduce_free(FreeClass.generator(c.k, 1).power(c.k * c.n), c))
+            * prod(factorial(c.n + i) for i in range(c.k))
+            == factorial(c.k * c.n) * prod(map(factorial, range(c.k)))
+            for c in boxes)
 
     def whitney():
         for k in range(1, 4):

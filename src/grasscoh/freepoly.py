@@ -3,7 +3,7 @@
 A FreeClass is a finitely supported map from exponent vectors to exact
 coefficients: ints, unless a rational input brings in Fractions (`exact`).
 It and ring.SchurClass derive from `Combination`, which defines their
-arithmetic, equality, hash and immutability once.
+checked constructor, arithmetic, equality, hash and immutability once.
 The inverse classes cbar_i of the total class 1 + c1 + ... + ck are
 provided both by the defining recursion and by the closed multinomial
 formula; the two must agree (tested, not assumed).
@@ -52,15 +52,22 @@ class Combination:
     coefficients, over one `space`: the shared core of FreeClass and
     SchurClass.  Immutable: attributes cannot be assigned and `terms` is a
     read-only mapping.  Operations return new instances of the same class;
-    operands over different spaces raise the subclass's `_mismatch`."""
+    operands over different spaces raise the subclass's `_mismatch`, and
+    the constructor checks keys with the subclass's `_key`."""
 
     __slots__ = ("space", "terms")
 
-    def __init__(self, space, terms):
-        # `terms`: a fresh dict of nonzero exact coefficients whose keys are
-        # valid for `space`; each subclass constructor checks, then stores here
+    def __init__(self, space, terms=None):
+        # the one checked path: `_key(space, key)` raises or returns the key
+        # as a tuple, each coefficient goes through `exact`, zeros are dropped
+        clean = {}
+        if terms:
+            for key, c in terms.items():
+                key, c = self._key(space, key), exact(c)
+                if c:
+                    clean[key] = c
         _set_space(self, space)
-        _set_terms(self, MappingProxyType(terms))
+        _set_terms(self, MappingProxyType(clean))
 
     @classmethod
     def _of(cls, space, terms):
@@ -131,17 +138,12 @@ class FreeClass(Combination):
     _mismatch = AmbientMismatch
     k = Combination.space
 
-    def __init__(self, k, terms=None):
-        clean = {}
-        if terms:
-            for alpha, c in terms.items():
-                if len(alpha) != k:
-                    raise AmbientMismatch(
-                        f"exponent vector {alpha} has length {len(alpha)}, expected {k}")
-                c = exact(c)
-                if c:
-                    clean[tuple(alpha)] = c
-        Combination.__init__(self, k, clean)
+    @staticmethod
+    def _key(k, alpha):
+        if len(alpha) != k:
+            raise AmbientMismatch(
+                f"exponent vector {alpha} has length {len(alpha)}, expected {k}")
+        return tuple(alpha)
 
     # -- constructors -------------------------------------------------
 
@@ -189,6 +191,10 @@ class FreeClass(Combination):
         return FreeClass._of(self.k, terms)
 
     def power(self, exponent: int):
+        # a float or Fraction exponent would reach the one-term step below
+        if not isinstance(exponent, int):
+            raise TypeError(f"exponent must be an int, not "
+                            f"{type(exponent).__name__}")
         if exponent < 0:
             raise ValueError("negative exponent")
         if len(self.terms) == 1:

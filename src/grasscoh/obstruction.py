@@ -39,26 +39,13 @@ class HypothesisError(ValueError):
     """The theorem requires 1 < k < n."""
 
 
-class Certificate(namedtuple(
-        "Certificate", "case_tag k n witness_monomial witness_coefficient "
-                       "search_log assumptions",
-        defaults=(None, None, None, ()))):
-    """The case of (k, n), its witness monomial and coefficient or its
-    search log, and the assumption tags it rests on.  Immutable."""
-    __slots__ = ()
-
-    def to_obj(self):
-        coeff = self.witness_coefficient
-        return {
-            "case": self.case_tag,
-            "k": self.k,
-            "n": self.n,
-            "witness": ({"alpha": list(self.witness_monomial)}
-                        if self.witness_monomial is not None else None),
-            "coefficient": None if coeff is None else str(coeff),
-            "assumptions": list(self.assumptions),
-            "search_log": self.search_log,
-        }
+# The case of (k, n), its witness monomial and coefficient or its search
+# log, and the assumption tags it rests on.  Immutable; `cert._asdict()`
+# gives the fields by name, and `cli` writes them as text or JSON.
+Certificate = namedtuple(
+    "Certificate", "case_tag k n witness_monomial witness_coefficient "
+                   "search_log assumptions",
+    defaults=(None, None, None, ()))
 
 
 def dispatch_case(k: int, n: int) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .freepoly import AmbientMismatch, Combination, FreeClass, exact, render_terms
+from .freepoly import AmbientMismatch, Combination, FreeClass, render_terms
 
 
 class RingContext(namedtuple("RingContext", "k n")):
@@ -49,21 +49,15 @@ class SchurClass(Combination):
     _mismatch = ContextMismatch
     context = Combination.space
 
-    def __init__(self, context: RingContext, terms=None):
-        clean = {}
-        if terms:
-            for lam, c in terms.items():
-                lam = tuple(lam)
-                if any(a < b for a, b in zip(lam, lam[1:])) or \
-                        (lam and lam[-1] < 1):
-                    raise ValueError(f"{list(lam)} is not a partition")
-                if len(lam) > context.k or (lam and lam[0] > context.n):
-                    raise ValueError(f"partition {list(lam)} outside the "
-                                     f"{context.k}x{context.n} box")
-                c = exact(c)
-                if c:
-                    clean[lam] = c
-        Combination.__init__(self, context, clean)
+    @staticmethod
+    def _key(context, lam):
+        lam = tuple(lam)
+        if any(a < b for a, b in zip(lam, lam[1:])) or (lam and lam[-1] < 1):
+            raise ValueError(f"{list(lam)} is not a partition")
+        if len(lam) > context.k or (lam and lam[0] > context.n):
+            raise ValueError(f"partition {list(lam)} outside the "
+                             f"{context.k}x{context.n} box")
+        return lam
 
     def coeff(self, lam):
         return self.terms.get(tuple(lam), 0)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasscoh import cli
+from grasscoh import cli, ring
 from grasscoh.cli import run_cli
 from grasscoh.expr import eval_expr, parse
 from grasscoh.partitions import betti_numbers
@@ -73,6 +73,19 @@ class TestDual:
         code, out = run(["dual", "--k", "2", "--i", "3"])
         assert code == 0
         assert out.strip() == "- 1*c1^3 + 2*c1*c2"
+
+    @pytest.mark.parametrize("method, skipped", [
+        ("recursive", "dual_class_closed"), ("closed", "dual_class_recursive")])
+    def test_computes_only_the_chosen_class(self, monkeypatch, method, skipped):
+        argv = ["dual", "--k", "4", "--i", "9", "--method", method]
+        expected = run(argv)
+
+        def refuse(i, k):
+            raise AssertionError(f"{skipped} was called")
+
+        monkeypatch.setattr(cli, skipped, refuse)
+        assert run(argv) == expected
+        assert expected[0] == 0
 
 
 class TestBetti:
@@ -157,6 +170,21 @@ def test_selftest_passes():
     code, out = run(["selftest"])
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_selftest_fails_on_a_reduction_to_zero(monkeypatch):
+    # a reduction that keeps only the unit term sends every class of
+    # positive degree to 0, so every relation still "holds"
+    act = ring.act
+
+    def unit_only(p, s):
+        image = act(p, s)
+        return SchurClass._of(image.context, {(): image.coeff(())})
+
+    monkeypatch.setattr(ring, "act", unit_only)
+    code, out = run(["selftest"])
+    assert code == cli.EXIT_CHECK
+    assert "ideal-relations: FAIL" in out.splitlines()
 
 
 def run_checked(argv):

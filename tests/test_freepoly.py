@@ -51,6 +51,16 @@ class TestArithmetic:
                 assert base.power(e) == acc, (base, e)
                 acc = acc * base
 
+    def test_power_takes_only_int_exponents(self):
+        # one-term and many-term bases alike: an inexact exponent would
+        # give inexact exponents and coefficients
+        for base in (c(2, 1).scale(3), c(2, 1) + c(2, 2)):
+            for e in (2.5, 2.0, Fraction(2), "2"):
+                with pytest.raises(TypeError):
+                    base.power(e)
+            assert base.power(True) == base
+            assert base.power(False) == FreeClass.one(2)
+
     def test_immutable(self):
         f = c(2, 1) - c(2, 2)
         h, text = hash(f), str(f)

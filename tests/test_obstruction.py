@@ -1,17 +1,27 @@
+import io
 import json
 from math import prod
 
 import pytest
 
+from grasscoh import cli
 from grasscoh.freepoly import dual_class_closed
 from grasscoh.obstruction import (CASE1, CASE2I, CASE2II, CASE2III, CASE2IV,
-                                  Certificate, HypothesisError,
+                                  HypothesisError,
                                   _case2iii_single, _case2iv_single, _divisors,
                                   case1_certificate, case2i_certificate,
                                   case2ii_certificate, dispatch_case,
                                   nontrivial_intersection_report)
 from grasscoh.partitions import (exponent_vectors_of_weight, multinomial, size,
                                  weight)
+
+
+def cli_json(k, n):
+    """The certificate object that `grasscoh --format json obstruct` prints."""
+    out = io.StringIO()
+    argv = ["--format", "json", "obstruct", "--k", str(k), "--n", str(n)]
+    assert cli.run_cli(argv, out=out) == cli.EXIT_OK
+    return json.loads(out.getvalue())
 
 
 class TestDispatch:
@@ -248,7 +258,9 @@ class TestReport:
                 assert cert.assumptions
 
     def test_json_schema(self):
-        obj = json.loads(json.dumps(nontrivial_intersection_report(5, 10).to_obj()))
+        obj = cli_json(5, 10)
+        assert list(obj) == ["case", "k", "n", "witness", "coefficient",
+                             "assumptions", "search_log"]
         assert obj["case"] == "Case2i"
         assert obj["k"] == 5 and obj["n"] == 10
         assert obj["witness"] == {"alpha": [0, 1, 0, 2, 0]}
@@ -256,7 +268,11 @@ class TestReport:
         assert obj["assumptions"]
 
     def test_certificate_roundtrip_fields(self):
-        cert = Certificate("Case1", 2, 3, witness_monomial=(3, 0))
-        obj = cert.to_obj()
-        assert obj["coefficient"] is None
-        assert obj["search_log"] is None
+        # a Case 2(iii) certificate has a search log and no witness
+        cert = nontrivial_intersection_report(4, 10)
+        obj = cli_json(4, 10)
+        assert obj["witness"] is None and obj["coefficient"] is None
+        assert cert.witness_monomial is None and cert.witness_coefficient is None
+        assert (obj["case"], obj["k"], obj["n"]) == (cert.case_tag, 4, 10)
+        assert obj["assumptions"] == list(cert.assumptions)
+        assert obj["search_log"] == cert.search_log

@@ -419,9 +419,12 @@ def test_value_type_contracts():
 
     cert = Certificate(case_tag="Case1", k=2, n=3, witness_monomial=(3, 0))
     assert (cert.witness_coefficient, cert.search_log) == (None, None)
-    assert cert.to_obj() == {"case": "Case1", "k": 2, "n": 3,
-                             "witness": {"alpha": [3, 0]}, "coefficient": None,
-                             "assumptions": [], "search_log": None}
+    # a plain namedtuple: the fields are all there is, and cli writes them
+    assert Certificate.__bases__ == (tuple,)
+    assert cert._asdict() == {"case_tag": "Case1", "k": 2, "n": 3,
+                              "witness_monomial": (3, 0),
+                              "witness_coefficient": None, "search_log": None,
+                              "assumptions": ()}
 
 
 PROPERTY_RINGS = [(1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (4, 2)]
