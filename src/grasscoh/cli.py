@@ -151,8 +151,8 @@ def _cmd_obstruct(out, fmt, k, n):
 
 def _selftest_suites():
     from .partitions import (conjugate, exponent_vectors_of_weight,
-                             multinomial, partitions_in_box)
-    from .ring import integrate, reduce_free
+                             multinomial, partitions_in_box, weight)
+    from .ring import SchurClass, integrate, reduce_free
     from .freepoly import FreeClass, total_chern
 
     def lemma_equivalence():
@@ -179,14 +179,21 @@ def _selftest_suites():
             for c in boxes)
 
     def whitney():
+        # c * cbar = 1 degree by degree; and, which a reduction sending every
+        # class to zero would fail, c_i -> sigma[1^i] and cbar_i -> (-1)^i sigma[i]
         for k in range(1, 4):
             for n in range(k + 1, 6):
                 ctx = RingContext(k, n)
-                dual = sum((dual_class_closed(i, k) for i in range(1, n + 1)),
-                           start=dual_class_closed(0, k))
-                prod = total_chern(k) * dual
-                if not all(reduce_free(prod.homogeneous_component(j), ctx).is_zero()
+                duals = [dual_class_closed(i, k) for i in range(n + 1)]
+                product = total_chern(k) * sum(duals[1:], start=duals[0])
+                if not all(reduce_free(product.homogeneous_component(j), ctx).is_zero()
                            for j in range(1, n + k + 1)):
+                    return False
+                if any(reduce_free(FreeClass.generator(k, i), ctx)
+                       != SchurClass(ctx, {(1,) * i: 1}) for i in range(1, k + 1)):
+                    return False
+                if any(reduce_free(duals[i], ctx) != SchurClass(ctx, {(i,): (-1) ** i})
+                       for i in range(1, n + 1)):
                     return False
         return True
 
@@ -205,14 +212,23 @@ def _selftest_suites():
         return proposition_check(6, 6, range(-3, 4)).passed
 
     def certificates():
+        # the cited results each case rests on, written out here rather than
+        # read from `obstruction`, so a certificate that drops one fails
+        adams, omits = "GH3-Thm1-Adams", "witness-absent-from-induced-product"
+        leading = "ctilde-t-leading-coefficients-one"
+        tags = {"Case1": ["ONeill-GH3-low-rank-Adams"],
+                "Case2i": [adams, omits], "Case2ii": [adams, omits],
+                "Case2iii": [adams, leading], "Case2iv": [adams, leading]}
         for k in range(2, 6):
             for n in range(k + 1, 11):
                 cert = obstruction.nontrivial_intersection_report(k, n)
-                has_witness = (cert.witness_coefficient is not None
-                               and cert.witness_coefficient != 0)
-                has_log = (cert.search_log is not None
-                           and not cert.search_log.get("solutions"))
-                if not (has_witness or has_log):
+                alpha = cert.witness_monomial
+                if alpha is None:
+                    ok = (cert.search_log is not None
+                          and not cert.search_log.get("solutions"))
+                else:
+                    ok = weight(alpha) == n and cert.witness_coefficient not in (None, 0)
+                if not ok or list(cert.assumptions) != tags.get(cert.case_tag):
                     return False
         return True
 

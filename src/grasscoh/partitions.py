@@ -9,7 +9,7 @@ exact integer arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import comb
 
 
 def weight(alpha) -> int:
@@ -23,11 +23,13 @@ def size(alpha) -> int:
 
 
 def multinomial(alpha) -> int:
-    """|alpha|! / (a_1! ... a_k!), exact."""
-    num = factorial(sum(alpha))
+    """|alpha|! / (a_1! ... a_k!), exact, as the product of the binomials
+    C(a_1 + ... + a_i, a_i), so no factorial is formed."""
+    out, total = 1, 0
     for a in alpha:
-        num //= factorial(a)
-    return num
+        total += a
+        out *= comb(total, a)
+    return out
 
 
 def exponent_vectors_of_weight(w: int, k: int):

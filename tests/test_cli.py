@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasscoh import cli, ring
+from grasscoh import cli, obstruction, ring
 from grasscoh.cli import run_cli
 from grasscoh.expr import eval_expr, parse
 from grasscoh.partitions import betti_numbers
@@ -185,6 +185,16 @@ def test_selftest_fails_on_a_reduction_to_zero(monkeypatch):
     code, out = run(["selftest"])
     assert code == cli.EXIT_CHECK
     assert "ideal-relations: FAIL" in out.splitlines()
+    # c_1 no longer reduces to sigma[1]
+    assert "whitney: FAIL" in out.splitlines()
+
+
+def test_selftest_fails_on_a_dropped_assumption(monkeypatch):
+    monkeypatch.setitem(obstruction._ASSUMPTIONS, obstruction.CASE2II,
+                        (obstruction.ASSUME_ADAMS,))
+    code, out = run(["selftest"])
+    assert code == cli.EXIT_CHECK
+    assert "certificates: FAIL" in out.splitlines()
 
 
 def run_checked(argv):
@@ -235,6 +245,22 @@ class TestTotality:
         code, out = run_checked(["obstruct", "--k", "3", "--n", "20000"])
         assert code == 0
         assert '"image_monomials_checked": 33333333' in out
+
+    def test_obstruct_at_the_bound(self):
+        # the Case 1 witness c1^n has coefficient (-1)^n n!/n!, read as a
+        # product of binomials without forming n!
+        code, out = run_checked(["obstruct", "--k", "2", "--n", "1000000"])
+        assert code == 0
+        assert "witness: [1000000, 0] coefficient 1\n" in out
+        assert '"image_monomials_checked": 500000' in out
+
+    # past n = 10^6 obstruct refuses before any work: these would fill a
+    # recursion table of about n cells, and a partition count over n
+    @pytest.mark.parametrize("k, n", [(4, 300000004), (2, 100000000)])
+    def test_obstruct_past_the_bound(self, k, n):
+        code, out, err = run_with_stderr(["obstruct", "--k", str(k), "--n", str(n)])
+        assert (code, out) == (cli.EXIT_EVAL, "")
+        assert err == f"evaluation error: need n <= 1000000, got n={n}\n"
 
     # integers past the interpreter's default 4,300-digit str limit
     def test_lefschetz_past_str_digit_limit(self):

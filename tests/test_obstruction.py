@@ -4,14 +4,12 @@ from math import prod
 
 import pytest
 
-from grasscoh import cli
+from grasscoh import cli, obstruction
 from grasscoh.freepoly import dual_class_closed
 from grasscoh.obstruction import (CASE1, CASE2I, CASE2II, CASE2III, CASE2IV,
                                   HypothesisError,
                                   _case2iii_single, _case2iv_single, _divisors,
-                                  case1_certificate, case2i_certificate,
-                                  case2ii_certificate, dispatch_case,
-                                  nontrivial_intersection_report)
+                                  dispatch_case, nontrivial_intersection_report)
 from grasscoh.partitions import (exponent_vectors_of_weight, multinomial, size,
                                  weight)
 
@@ -55,28 +53,25 @@ class TestDispatch:
 
 class TestCase1:
     def test_witness_2_3(self):
-        cert = case1_certificate(2, 3)
+        cert = nontrivial_intersection_report(2, 3)
+        assert cert.case_tag == CASE1
         assert cert.witness_monomial == (3, 0)
         assert cert.witness_coefficient == -1
 
     def test_witness_3_4(self):
-        cert = case1_certificate(3, 4)
+        cert = nontrivial_intersection_report(3, 4)
         assert cert.witness_monomial == (4, 0, 0)
         assert cert.witness_coefficient == 1
 
     def test_infeasibility_logged(self):
-        cert = case1_certificate(2, 3)
+        cert = nontrivial_intersection_report(2, 3)
         assert cert.search_log["all_have_ck_factor"]
         assert cert.search_log["witness_ck_exponent"] == 0
-
-    def test_range_rejected(self):
-        with pytest.raises(HypothesisError):
-            case1_certificate(4, 5)
 
     def test_image_count_matches_enumeration(self):
         for k in (2, 3):
             for n in range(k + 1, 61):
-                log = case1_certificate(k, n).search_log
+                log = nontrivial_intersection_report(k, n).search_log
                 assert log["image_monomials_checked"] == \
                     len(exponent_vectors_of_weight(n - k, k)), (k, n)
 
@@ -84,53 +79,61 @@ class TestCase1:
         # partitions of w into parts <= 2, and into parts <= 3
         for n in (61, 1000, 4321, 20000):
             w = n - 2
-            assert case1_certificate(2, n).search_log[
+            assert nontrivial_intersection_report(2, n).search_log[
                 "image_monomials_checked"] == w // 2 + 1
             w = n - 3
-            assert case1_certificate(3, n).search_log[
+            assert nontrivial_intersection_report(3, n).search_log[
                 "image_monomials_checked"] == round((w + 3) ** 2 / 12)
 
 
 class TestCase2i:
     def test_even_remainder_zero(self):
-        cert = case2i_certificate(5, 8)
+        cert = nontrivial_intersection_report(5, 8)
+        assert cert.case_tag == CASE2I
         assert cert.witness_monomial == (0, 0, 0, 2, 0)
         assert cert.witness_coefficient == 1
 
     def test_even_remainder_two(self):
-        cert = case2i_certificate(5, 10)
+        cert = nontrivial_intersection_report(5, 10)
         assert cert.witness_monomial == (0, 1, 0, 2, 0)
         assert cert.witness_coefficient == -3
 
     def test_odd_remainder_three(self):
-        cert = case2i_certificate(6, 13)
+        cert = nontrivial_intersection_report(6, 13)
         assert cert.witness_monomial == (0, 0, 1, 0, 2, 0)
         assert cert.witness_coefficient == -3
-
-    def test_rejects_remainder_one(self):
-        with pytest.raises(HypothesisError):
-            case2i_certificate(5, 9)
 
 
 class TestCase2ii:
     def test_l_one_collapses(self):
-        cert = case2ii_certificate(5, 9)
+        cert = nontrivial_intersection_report(5, 9)
+        assert cert.case_tag == CASE2II
         assert cert.witness_monomial == (0, 0, 3, 0, 0)
         assert cert.witness_coefficient == -1
 
     def test_merged_generators(self):
-        cert = case2ii_certificate(5, 13)
+        cert = nontrivial_intersection_report(5, 13)
         assert cert.witness_monomial == (0, 0, 3, 1, 0)
         assert cert.witness_coefficient == 4
 
     def test_distinct_generators(self):
-        cert = case2ii_certificate(6, 16)
+        cert = nontrivial_intersection_report(6, 16)
         assert cert.witness_monomial == (0, 0, 1, 2, 1, 0)
         assert cert.witness_coefficient == 12
 
     def test_exponent_rule_recorded(self):
-        cert = case2ii_certificate(6, 16)
+        cert = nontrivial_intersection_report(6, 16)
         assert "l-1" in cert.search_log["exponent_rule"]
+
+
+# one (k, n) per witness case: 1, 2(i) and 2(ii)
+@pytest.mark.parametrize("k, n", [(2, 5), (5, 10), (5, 9)])
+def test_zero_witness_coefficient_fails(monkeypatch, k, n):
+    # both coefficient paths agree on 0, so only the zero check can object
+    monkeypatch.setattr(obstruction, "closed_coefficient", lambda alpha: 0)
+    monkeypatch.setattr(obstruction, "dual_coefficient", lambda alpha: 0)
+    with pytest.raises(AssertionError):
+        nontrivial_intersection_report(k, n)
 
 
 class TestDiophantine:
