@@ -4,8 +4,6 @@
 
 from __future__ import annotations
 
-import json
-import os
 import sys
 from math import comb, factorial, prod
 
@@ -21,6 +19,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_EVAL = 2
 EXIT_CHECK = 3
+
+# The work budgets of betti, lefschetz and fpp (README, CLI section): an
+# input past one is refused with exit 2 before any work starts.
+_MAX_BETTI_CELLS = 90_000          # k*n
+_MAX_LEFSCHETZ_DIGITS = 250_000    # k*n*digits(m), about the digits printed
+_MAX_FPP_CELLS = 40_000            # k-max*n-max*(HI-LO+1)
+_MAX_FPP_DIGITS = 40_000_000       # k*n*digits(m) summed over the sweep
 
 USAGE = """\
 usage: grasscoh [--format text|json|csv] <subcommand> [options]
@@ -58,6 +63,10 @@ def _parse_m_range(text: str):
     return range(lo, hi + 1)
 
 
+def _digits(m: int) -> int:
+    return len(str(abs(m)))
+
+
 def _cmd_eval(out, fmt, k, n, expression):
     ast = parse(expression)
     ctx = RingContext(k, n)
@@ -82,8 +91,12 @@ def _cmd_dual(out, fmt, k, i, method):
 
 
 def _cmd_betti(out, fmt, k, n):
-    betti = betti_numbers(*RingContext(k, n))  # RingContext checks k, n >= 1
+    RingContext(k, n)  # checks k, n >= 1
+    if k * n > _MAX_BETTI_CELLS:
+        raise ValueError(f"need k*n <= {_MAX_BETTI_CELLS}, got k*n={k * n}")
+    betti = betti_numbers(k, n)
     if fmt == "json":
+        import json
         print(json.dumps({"k": k, "n": n, "betti": betti,
                           "total": sum(betti)}), file=out)
     elif fmt == "csv":
@@ -97,8 +110,14 @@ def _cmd_betti(out, fmt, k, n):
 
 
 def _cmd_lefschetz(out, fmt, k, n, m):
-    lef = lefschetz_number(m, RingContext(k, n))
+    ctx = RingContext(k, n)
+    size = k * n * _digits(m)
+    if size > _MAX_LEFSCHETZ_DIGITS:
+        raise ValueError(f"need k*n*digits(m) <= {_MAX_LEFSCHETZ_DIGITS}, "
+                         f"got {size}")
+    lef = lefschetz_number(m, ctx)
     if fmt == "json":
+        import json
         print(json.dumps({"k": k, "n": n, "m": m,
                           "lefschetz": str(lef)}), file=out)
     else:
@@ -109,9 +128,20 @@ def _cmd_fpp(out, fmt, k_max, n_max, m_range):
     m_range = _parse_m_range(m_range)
     if k_max < 1 or n_max < 1:
         raise ValueError("need positive bounds")
+    cells = k_max * n_max * (m_range.stop - m_range.start)
+    if cells > _MAX_FPP_CELLS:
+        raise ValueError(f"need k-max*n-max*(HI-LO+1) <= {_MAX_FPP_CELLS}, "
+                         f"got {cells}")
+    # sum of k*n*digits(m) over the grid, the digits it prints
+    size = (k_max * (k_max + 1) // 2 * n_max * (n_max + 1) // 2
+            * sum(map(_digits, m_range)))
+    if size > _MAX_FPP_DIGITS:
+        raise ValueError(f"need the sum of k*n*digits(m) <= {_MAX_FPP_DIGITS}, "
+                         f"got {size}")
     grid = [(k, n, fpp_classification(k, n, m_range))
             for k in range(1, k_max + 1) for n in range(1, n_max + 1)]
     if fmt == "json":
+        import json
         print(json.dumps([{"k": k, "n": n, "status": verdict.status,
                            "lefschetz": {str(m): verdict.lefschetz_table[m]
                                          for m in m_range}}
@@ -129,6 +159,7 @@ def _cmd_fpp(out, fmt, k_max, n_max, m_range):
 
 
 def _cmd_obstruct(out, fmt, k, n):
+    import json
     cert = obstruction.nontrivial_intersection_report(k, n)
     alpha, coeff = cert.witness_monomial, cert.witness_coefficient
     if fmt == "json":
@@ -160,11 +191,15 @@ def _selftest_suites():
                    for k in range(1, 5) for i in range(9))
 
     def x_beta_identity():
-        # |beta|!/beta! is the sum of |beta - e_i|!/(beta - e_i)! over beta_i > 0
+        # |beta|!/beta! is the sum of |beta - e_i|!/(beta - e_i)! over
+        # beta_i > 0; and, which a multinomial of 0 would fail, m!/1!^m = m!
+        # and m!/m! = 1
         return all(sum(multinomial(beta[:i] + (b - 1,) + beta[i + 1:])
                        for i, b in enumerate(beta) if b) == multinomial(beta)
                    for k in range(1, 5) for w in range(1, 7)
-                   for beta in exponent_vectors_of_weight(w, k))
+                   for beta in exponent_vectors_of_weight(w, k)) and all(
+            multinomial((1,) * m) == factorial(m) and multinomial((m,)) == 1
+            for m in range(7))
 
     def ideal_relations():
         # the relations vanish; and, which a reduction sending every class to
@@ -233,7 +268,11 @@ def _selftest_suites():
         return True
 
     def conjugate_involution():
-        return all(conjugate(conjugate(lam)) == lam
+        # an involution, and, which the identity would fail, the column
+        # counts lam'_j = #{i : lam_i >= j}
+        return all(conjugate(conjugate(lam)) == lam and conjugate(lam) ==
+                   tuple(sum(p >= j for p in lam)
+                         for j in range(1, max(lam, default=0) + 1))
                    for k in range(1, 5) for n in range(1, 5)
                    for i in range(k * n + 1) for lam in partitions_in_box(i, k, n))
 
@@ -250,10 +289,16 @@ def _selftest_suites():
 
 
 def _cmd_selftest(out, fmt):
+    # a suite that raises fails alone: its error goes to stderr, and the
+    # remaining suites still run
     failed = []
     print(f"backend: {backend_name()}", file=out)
     for name, fn in _selftest_suites():
-        ok = fn()
+        try:
+            ok = fn()
+        except Exception as exc:
+            print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            ok = False
         print(f"{name}: {'PASS' if ok else 'FAIL'}", file=out)
         if not ok:
             failed.append(name)
@@ -369,6 +414,7 @@ def main() -> None:
     except BrokenPipeError:
         # the reader closed stdout: send the interpreter's final flush to
         # devnull and exit 0, the reader having chosen to stop
+        import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_OK
     sys.exit(code)

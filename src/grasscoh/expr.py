@@ -21,8 +21,6 @@ be evaluated in several contexts.
 
 from __future__ import annotations
 
-import json
-
 from .freepoly import FreeClass, dual_class_closed, render_free
 from .ring import RingContext, SchurClass, lift, reduce_free
 
@@ -275,6 +273,7 @@ def render(x: FreeClass, ctx: RingContext, fmt: str = "text") -> str:
     if fmt == "text":
         return f"{render_free(x)}\n= {reduced}"
     if fmt == "json":
+        import json
         free = [{"alpha": list(a), "coeff": wire_coeff(c)}
                 for a, c in x.sorted_terms()]
         schur = [{"partition": list(lam), "coeff": wire_coeff(c)}

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .partitions import exponent_vectors_of_weight, multinomial, size, weight
+from .partitions import (count_exponent_vectors, exponent_vectors_of_weight,
+                         multinomial, size, weight)
 
 
 class AmbientMismatch(ValueError):
@@ -238,12 +239,27 @@ def render_free(p: FreeClass) -> str:
     return render_terms((_monomial_str(a), c) for a, c in p.sorted_terms())
 
 
+# the largest cbar_i built, as its number of terms times its weight i: each
+# coefficient is at most k^i, so this bounds the digits as well as the terms
+MAX_DUAL_SIZE = 2 * 10 ** 6
+
+
+def _check_dual_size(i: int, k: int) -> None:
+    """Refuse, before building it, a cbar_i whose terms, one per exponent
+    vector of weight i, times i exceed MAX_DUAL_SIZE."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    cap = MAX_DUAL_SIZE // max(i, 1)
+    if count_exponent_vectors(i, k, cap=cap) > cap:
+        raise ValueError(f"cbar_{i} with k={k} has more than {cap} terms, "
+                         f"the most at weight {i}")
+
+
 def dual_class_recursive(j: int, k: int) -> FreeClass:
     """Degree-j part of the formal inverse of 1 + c1 + ... + ck, by the
     recursion cbar_d = -sum_i c_i * cbar_{d-i}, filled bottom-up on term
     dicts: c_i times a term raises its i-th exponent by one."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_dual_size(j, k)
     if j < 0:
         return FreeClass.zero(k)
     cbar = [{(0,) * k: 1}]
@@ -267,8 +283,7 @@ def closed_coefficient(alpha) -> int:
 def dual_class_closed(i: int, k: int) -> FreeClass:
     """The same class by the closed multinomial sum over exponent vectors
     of weight i: sum (-1)^|alpha| (|alpha|!/alpha!) c^alpha."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_dual_size(i, k)
     return FreeClass(k, {alpha: closed_coefficient(alpha)
                          for alpha in exponent_vectors_of_weight(i, k)})
 

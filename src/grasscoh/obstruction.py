@@ -20,7 +20,7 @@ from collections import namedtuple
 from math import isqrt
 
 from .freepoly import closed_coefficient, dual_coefficient
-from .partitions import weight
+from .partitions import count_exponent_vectors, weight
 
 # Cited results the certificates rely on but do not re-derive.
 ASSUME_ADAMS = "GH3-Thm1-Adams"                      # endomorphisms are Adams type
@@ -108,11 +108,8 @@ def _case1(k: int, n: int):
     every monomial c^beta * c_k of c_k cup (anything) does.  Those beta are
     the exponent vectors of weight n - k, the partitions of n - k into
     parts <= k, and only their number enters the log."""
-    ways = [1] + [0] * (n - k)
-    for part in range(1, k + 1):
-        for total in range(part, n - k + 1):
-            ways[total] += ways[total - part]
-    return _monomial(k, (1, n)), {"image_monomials_checked": ways[-1],
+    checked = count_exponent_vectors(n - k, k)
+    return _monomial(k, (1, n)), {"image_monomials_checked": checked,
                                   "all_have_ck_factor": True,
                                   "witness_ck_exponent": 0}
 

@@ -57,6 +57,27 @@ def exponent_vectors_of_weight(w: int, k: int):
         rest, vec[0] = cap + 1 + vec[0], 0
 
 
+def count_exponent_vectors(w: int, k: int, cap=None) -> int:
+    """len(exponent_vectors_of_weight(w, k)) without listing them: the
+    partitions of w into parts <= k, counted part by part, O(k w)
+    additions.  Given `cap`, it may return any lower bound above cap
+    instead: past k = 1 there are w // 2 + 1 vectors with a_3 = ... = 0,
+    and the count stops after the first part that takes it over cap."""
+    if w < 0 or (k < 1 and w):
+        return 0
+    if k < 2 or w < 2:
+        return 1
+    if cap is not None and w // 2 >= cap:
+        return w // 2 + 1
+    ways = [1] * (w + 1)                       # parts <= 1
+    for part in range(2, min(k, w) + 1):
+        for total in range(part, w + 1):
+            ways[total] += ways[total - part]
+        if cap is not None and ways[w] > cap:
+            break
+    return ways[w]
+
+
 def conjugate(parts):
     """Transpose of the Young diagram."""
     if not parts:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasscoh import cli, obstruction, ring
+from grasscoh import cli, freepoly, obstruction, partitions, ring
 from grasscoh.cli import run_cli
 from grasscoh.expr import eval_expr, parse
 from grasscoh.partitions import betti_numbers
@@ -172,7 +172,7 @@ def test_selftest_passes():
     assert "FAIL" not in out
 
 
-def test_selftest_fails_on_a_reduction_to_zero(monkeypatch):
+def reduce_to_the_unit(monkeypatch):
     # a reduction that keeps only the unit term sends every class of
     # positive degree to 0, so every relation still "holds"
     act = ring.act
@@ -182,19 +182,51 @@ def test_selftest_fails_on_a_reduction_to_zero(monkeypatch):
         return SchurClass._of(image.context, {(): image.coeff(())})
 
     monkeypatch.setattr(ring, "act", unit_only)
-    code, out = run(["selftest"])
-    assert code == cli.EXIT_CHECK
-    assert "ideal-relations: FAIL" in out.splitlines()
-    # c_1 no longer reduces to sigma[1]
-    assert "whitney: FAIL" in out.splitlines()
 
 
-def test_selftest_fails_on_a_dropped_assumption(monkeypatch):
-    monkeypatch.setitem(obstruction._ASSUMPTIONS, obstruction.CASE2II,
-                        (obstruction.ASSUME_ADAMS,))
-    code, out = run(["selftest"])
+def zero(*args):
+    return 0
+
+
+# (mutant, its patch, the suites that must fail on it).  The suite imports
+# `partitions` names when it runs; freepoly keeps its own `multinomial`, so
+# the multinomial patched in `partitions` alone reaches only x-beta-identity
+SELFTEST_MUTANTS = {
+    # and c_1 no longer reduces to sigma[1]
+    "reduction-to-zero": (reduce_to_the_unit, ("ideal-relations", "whitney")),
+    "dropped-assumption": (
+        lambda mp: mp.setitem(obstruction._ASSUMPTIONS, obstruction.CASE2II,
+                              (obstruction.ASSUME_ADAMS,)),
+        ("certificates",)),
+    "identity-conjugate": (lambda mp: mp.setattr(partitions, "conjugate", tuple),
+                           ("conjugate-involution",)),
+    "zero-multinomial-in-the-suite": (
+        lambda mp: mp.setattr(partitions, "multinomial", zero),
+        ("x-beta-identity",)),
+    # certificates raises out of _witness_coefficient: its suite fails and
+    # the others still run
+    "zero-multinomial-everywhere": (
+        lambda mp: (mp.setattr(partitions, "multinomial", zero),
+                    mp.setattr(freepoly, "multinomial", zero)),
+        ("lemma-equivalence", "x-beta-identity", "whitney", "certificates")),
+}
+
+
+@pytest.mark.parametrize("mutant", SELFTEST_MUTANTS)
+def test_selftest_fails_on_its_mutant(monkeypatch, mutant):
+    patch, failing = SELFTEST_MUTANTS[mutant]
+    patch(monkeypatch)
+    code, out, err = run_with_stderr(["selftest"])
     assert code == cli.EXIT_CHECK
-    assert "certificates: FAIL" in out.splitlines()
+    names = [name for name, _ in cli._selftest_suites()]
+    verdicts = dict(line.split(": ") for line in out.splitlines()[1:])
+    assert list(verdicts) == names
+    assert [name for name in names if verdicts[name] == "FAIL"] == list(failing)
+    # a suite that raised leaves its error on stderr, before the summary
+    *raised, summary = err.splitlines()
+    assert all(line.split(": ")[0] in failing for line in raised)
+    assert summary == \
+        f"certificate failure: selftest suites failed: {', '.join(failing)}"
 
 
 def run_checked(argv):
@@ -261,6 +293,40 @@ class TestTotality:
         code, out, err = run_with_stderr(["obstruct", "--k", str(k), "--n", str(n)])
         assert (code, out) == (cli.EXIT_EVAL, "")
         assert err == f"evaluation error: need n <= 1000000, got n={n}\n"
+
+    # past their work budgets dual, eval's cbar, betti, lefschetz and fpp
+    # refuse before any work: these ran out of memory or did not answer
+    # within 15 s, and the first two ended in a MemoryError traceback
+    @pytest.mark.parametrize("argv", [
+        ["dual", "--k", "30", "--i", "150"],
+        ["eval", "--k", "3", "--n", "3", "cbar(100000)"],
+        ["betti", "--k", "1000", "--n", "1000"],
+        ["lefschetz", "--k", "5000", "--n", "5000", "--m", "7"],
+        ["fpp", "--k-max", "200", "--n-max", "200"],
+    ], ids=" ".join)
+    def test_refused_past_the_budget(self, argv):
+        code, out, err = run_with_stderr(argv)
+        assert (code, out) == (cli.EXIT_EVAL, "")
+        assert err.startswith("evaluation error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    # each budget at its edge: the first input of a pair is accepted, the
+    # second refused (the sweep of 1 x 3000 boxes passes the cell budget
+    # and not the digit budget)
+    @pytest.mark.parametrize("accepted, refused", [
+        (["dual", "--k", "2", "--i", "1999"], ["dual", "--k", "2", "--i", "2000"]),
+        (["betti", "--k", "1", "--n", "90000"], ["betti", "--k", "1", "--n", "90001"]),
+        (["lefschetz", "--k", "1", "--n", "125000", "--m", "10"],
+         ["lefschetz", "--k", "1", "--n", "125001", "--m", "10"]),
+        (["fpp", "--k-max", "1", "--n-max", "4", "--m-range", "1:10000"],
+         ["fpp", "--k-max", "1", "--n-max", "4", "--m-range", "0:10000"]),
+        (["fpp", "--k-max", "1", "--n-max", "2600"],
+         ["fpp", "--k-max", "1", "--n-max", "3000"]),
+    ], ids=lambda argv: " ".join(argv))
+    def test_at_the_budget(self, accepted, refused):
+        assert run_checked(accepted)[0] == cli.EXIT_OK
+        code, out, err = run_with_stderr(refused)
+        assert (code, out, err.count("\n")) == (cli.EXIT_EVAL, "", 1)
 
     # integers past the interpreter's default 4,300-digit str limit
     def test_lefschetz_past_str_digit_limit(self):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import grasscoh
 import grasscoh.cli  # noqa: F401  (imports every module that holds a memo)
 from grasscoh import partitions, ring
@@ -85,7 +87,6 @@ def test_tracer_kernel_binding_is_the_called_functions():
 def test_package_does_not_import_the_tracer_binding():
     # nor the record machinery: records are namedtuples and plain classes;
     # nor argparse, nor fractions, which only a rational input needs
-    # (json is still imported on purpose)
     modules = ("grasscoh._backend", "grasscoh._kernel_py",
                "dataclasses", "inspect", "typing", "csv", "argparse", "fractions")
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import grasscoh.cli; "
@@ -96,11 +97,15 @@ def test_package_does_not_import_the_tracer_binding():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
-def test_library_import_loads_no_json():
-    # the library returns values; only the writers, cli and expr.render,
-    # format them, so a plain import pays for neither json nor re nor enum
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import grasscoh; "
-             "print(sorted(m for m in ('json', 're', 'enum') if m in sys.modules))")
+@pytest.mark.parametrize("module", ["grasscoh", "grasscoh.cli"])
+def test_library_import_loads_no_json(module):
+    # the library returns values; only the writers that print JSON, in cli
+    # and expr.render, import json, and cli imports os only for a closed
+    # stdout, so a plain import pays for none of json, re, enum and os
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             f"import {module}; "
+             "print(sorted(m for m in ('json', 're', 'enum', 'os') "
+             "if m in sys.modules))")
     done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

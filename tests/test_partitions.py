@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grasscoh.partitions import (_gaussian_binomial, betti_numbers, conjugate,
-                                 count_in_box, exponent_vectors_of_weight,
+                                 count_exponent_vectors, count_in_box,
+                                 exponent_vectors_of_weight,
                                  multinomial, partitions_in_box, size, weight)
 
 
@@ -187,3 +188,18 @@ def test_expvec_count_is_bounded_part_partitions():
     for k in range(1, 6):
         for w in range(0, 10):
             assert len(exponent_vectors_of_weight(w, k)) == p_bounded(w, k)
+
+
+def test_expvec_count_without_listing():
+    for k in range(0, 7):
+        for w in range(-2, 26):
+            count = len(exponent_vectors_of_weight(w, k))
+            assert count_exponent_vectors(w, k) == count, (w, k)
+            # a capped count is exact up to the cap and above it past it
+            for cap in (1, 2, 10, 100, 1000):
+                capped = count_exponent_vectors(w, k, cap=cap)
+                assert (capped == count) if count <= cap else (capped > cap)
+    # far past any listing: the cap stops the count early
+    assert count_exponent_vectors(10 ** 9, 2, cap=100) > 100
+    assert count_exponent_vectors(10 ** 5, 10 ** 5, cap=100) > 100
+    assert count_exponent_vectors(10 ** 9, 1) == 1
