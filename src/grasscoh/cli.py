@@ -9,7 +9,8 @@ from math import comb, factorial, prod
 
 from . import backend_name, obstruction
 from .expr import ParseError, eval_expr, parse, render
-from .freepoly import dual_class_closed, dual_class_recursive, render_free
+from .freepoly import (MAX_DUAL_SIZE, dual_class_closed, dual_class_recursive,
+                       render_free)
 from .lefschetz import (fpp_classification, in_classified_range, lefschetz_number,
                         proposition_check)
 from .partitions import betti_numbers
@@ -70,6 +71,9 @@ def _digits(m: int) -> int:
 def _cmd_eval(out, fmt, k, n, expression):
     ast = parse(expression)
     ctx = RingContext(k, n)
+    # every class holds exponent vectors of k ints: dual's budget on k
+    if k > MAX_DUAL_SIZE:
+        raise ValueError(f"need k <= {MAX_DUAL_SIZE}, got k={k}")
     print(render(eval_expr(ast, ctx), ctx, fmt), file=out)
 
 

@@ -35,8 +35,7 @@ from .ring import RingContext, SchurClass, lift, reduce_free
 #   ("+" | "-" | "*", left, right)
 #   ("^", base, exponent)
 #   ("neg", operand)
-#   ("()", inner)         documented AST, kept so that a printer can give
-#                         back the source of a tree token for token
+# A parenthesis leaves no node: "(x)" parses to the tree of x.
 
 
 class ParseError(ValueError):
@@ -190,7 +189,7 @@ class _Parser:
             inner = self.expr()
             self.expect(")", "')'")
             self.depth -= 1
-            return ("()", inner)
+            return inner
         if kind == "-":
             self.nest(self.advance())
             node = ("neg", self.atom())
@@ -235,27 +234,23 @@ def _eval_operand(node, ctx: RingContext) -> FreeClass:
     k = ctx.k
     if tag == "num":
         return FreeClass.one(k).scale(arg)
-    if tag == "c":
-        if not 1 <= arg <= k:
-            raise EvalError(f"generator index {arg} out of range [1, {k}]")
-        return FreeClass.generator(k, arg)
     if tag == "cbar":
         return dual_class_closed(arg, k)
-    if tag == "sigma":
-        parts = arg
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        try:
-            schur = SchurClass(ctx, {parts: 1})
-        except ValueError as exc:
-            raise EvalError(str(exc)) from None
-        return lift(schur)
     if tag == "^":
         return eval_expr(arg, ctx).power(node[2])
     if tag == "neg":
         return -eval_expr(arg, ctx)
-    if tag == "()":
-        return eval_expr(arg, ctx)
+    # the constructors' range and partition checks, as evaluation errors
+    try:
+        if tag == "c":
+            return FreeClass.generator(k, arg)
+        if tag == "sigma":
+            parts = arg
+            while parts and parts[-1] == 0:
+                parts = parts[:-1]
+            return lift(SchurClass(ctx, {parts: 1}))
+    except ValueError as exc:
+        raise EvalError(str(exc)) from None
     raise EvalError(f"unknown node {node!r}")
 
 

@@ -239,38 +239,41 @@ def render_free(p: FreeClass) -> str:
     return render_terms((_monomial_str(a), c) for a, c in p.sorted_terms())
 
 
-# the largest cbar_i built, as its number of terms times its weight i: each
-# coefficient is at most k^i, so this bounds the digits as well as the terms
+# the largest cbar_i built, as its number of terms times max(i, k): each
+# coefficient is at most k^i, so this bounds the digits as well as the
+# terms, and each term's exponent vector holds k ints
 MAX_DUAL_SIZE = 2 * 10 ** 6
 
 
 def _check_dual_size(i: int, k: int) -> None:
     """Refuse, before building it, a cbar_i whose terms, one per exponent
-    vector of weight i, times i exceed MAX_DUAL_SIZE."""
+    vector of weight i, times max(i, k) exceed MAX_DUAL_SIZE."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    cap = MAX_DUAL_SIZE // max(i, 1)
+    cap = MAX_DUAL_SIZE // max(i, k)
     if count_exponent_vectors(i, k, cap=cap) > cap:
-        raise ValueError(f"cbar_{i} with k={k} has more than {cap} terms, "
-                         f"the most at weight {i}")
+        raise ValueError(f"cbar_{i} with k={k} is past the budget: its "
+                         f"terms times max(i, k) exceed {MAX_DUAL_SIZE}")
 
 
 def dual_class_recursive(j: int, k: int) -> FreeClass:
     """Degree-j part of the formal inverse of 1 + c1 + ... + ck, by the
     recursion cbar_d = -sum_i c_i * cbar_{d-i}, filled bottom-up on term
-    dicts: c_i times a term raises its i-th exponent by one."""
+    dicts, of which it keeps the last k, the ones it reads: c_i times a
+    term raises its i-th exponent by one."""
     _check_dual_size(j, k)
     if j < 0:
         return FreeClass.zero(k)
-    cbar = [{(0,) * k: 1}]
+    cbar = [{(0,) * k: 1}]             # cbar[-i] is cbar_{d-i}
     for d in range(1, j + 1):
         acc = {}
         for i in range(1, min(d, k) + 1):
-            for alpha, c in cbar[d - i].items():
+            for alpha, c in cbar[-i].items():
                 key = alpha[:i - 1] + (alpha[i - 1] + 1,) + alpha[i:]
                 acc[key] = acc.get(key, 0) - c
         cbar.append(acc)
-    return FreeClass(k, cbar[j])
+        del cbar[:-k]
+    return FreeClass(k, cbar[-1])
 
 
 def closed_coefficient(alpha) -> int:

@@ -101,14 +101,12 @@ GrassElement = SchurClass
 
 @lru_cache(maxsize=None)
 def vertical_strips(parts, size, max_rows, max_part):
-    """Partitions obtained from `parts` by adding a vertical strip of
-    `size` boxes (at most one box per row), pruned to the
-    max_rows x max_part box.  Rows are decided from the top, and a strip
-    that boxes a row comes before one that skips it.  Memoised, so the
-    result is a shared tuple."""
+    """Partitions obtained from `parts`, a partition in the
+    max_rows x max_part box, by adding a vertical strip of `size` boxes
+    (at most one box per row), pruned to that box.  Rows are decided from
+    the top, and a strip that boxes a row comes before one that skips it.
+    Memoised, so the result is a shared tuple."""
     nrows = len(parts)
-    if nrows > max_rows or (parts and parts[0] > max_part):
-        return ()
     out = []
     # (row, boxes left, part above, parts so far); "skip this row" is
     # pushed before "box this row", so boxing is popped first

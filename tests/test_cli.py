@@ -303,6 +303,9 @@ class TestTotality:
         ["betti", "--k", "1000", "--n", "1000"],
         ["lefschetz", "--k", "5000", "--n", "5000", "--m", "7"],
         ["fpp", "--k-max", "200", "--n-max", "200"],
+        # one exponent vector alone holds k ints
+        ["dual", "--k", "1000000000", "--i", "1"],
+        ["eval", "--k", "1000000000", "--n", "1", "c1"],
     ], ids=" ".join)
     def test_refused_past_the_budget(self, argv):
         code, out, err = run_with_stderr(argv)
@@ -315,6 +318,8 @@ class TestTotality:
     # and not the digit budget)
     @pytest.mark.parametrize("accepted, refused", [
         (["dual", "--k", "2", "--i", "1999"], ["dual", "--k", "2", "--i", "2000"]),
+        (["eval", "--k", "2000000", "--n", "1", "c1"],
+         ["eval", "--k", "2000001", "--n", "1", "c1"]),
         (["betti", "--k", "1", "--n", "90000"], ["betti", "--k", "1", "--n", "90001"]),
         (["lefschetz", "--k", "1", "--n", "125000", "--m", "10"],
          ["lefschetz", "--k", "1", "--n", "125001", "--m", "10"]),
@@ -327,6 +332,12 @@ class TestTotality:
         assert run_checked(accepted)[0] == cli.EXIT_OK
         code, out, err = run_with_stderr(refused)
         assert (code, out, err.count("\n")) == (cli.EXIT_EVAL, "", 1)
+
+    def test_both_methods_at_the_dual_budget(self):
+        code, out = run_checked(["dual", "--k", "2", "--i", "1999",
+                                 "--method", "both"])
+        assert code == cli.EXIT_OK
+        assert out.endswith("\nMATCH\n")
 
     # integers past the interpreter's default 4,300-digit str limit
     def test_lefschetz_past_str_digit_limit(self):

@@ -36,8 +36,10 @@ class TestParse:
         got = parse("c1 - c2 + c1")
         assert got == ("+", ("-", ("c", 1), ("c", 2)), ("c", 1))
 
-    def test_parens_preserved(self):
-        assert parse("(c1)") == ("()", ("c", 1))
+    def test_parens_group(self):
+        # a parenthesis leaves no node of its own
+        assert parse("(c1)") == ("c", 1)
+        assert parse("(c1+c2)*c3") == ("*", ("+", ("c", 1), ("c", 2)), ("c", 3))
 
     def test_unary_minus_binds_tight(self):
         assert parse("-c1^2") == ("^", ("neg", ("c", 1)), 2)
@@ -126,18 +128,27 @@ class TestRender:
 
 
 _INFIX_TEXT = {"+": " + ", "-": " - ", "*": "*"}
+# how tightly each node binds: sums, products, powers, then atoms and "neg"
+_PREC = {"+": 1, "-": 1, "*": 2, "^": 3}
 
 
-def render_as_source(node) -> str:
-    """Print an AST back to source text, one-to-one on the token level.
+def render_as_source(node, floor=1) -> str:
+    """Print an AST back to source text that parses to the same tree,
+    with a parenthesis only around a node that binds looser than `floor`.
     Like eval_expr, it walks the left spine of a binary chain in a loop."""
+    if _PREC.get(node[0], 4) < floor:
+        return f"({render_as_source(node)})"
     spine = []
-    while node[0] in _INFIX_TEXT:
+    while node[0] in _INFIX_TEXT and _PREC[node[0]] >= floor:
         spine.append(node)
+        floor = _PREC[node[0]]
         node = node[1]
-    pieces = [_render_operand(node)]
+    pieces = [render_as_source(node, floor) if node[0] in _INFIX_TEXT
+              else _render_operand(node)]
     for tag, _, right in reversed(spine):
-        pieces += (_INFIX_TEXT[tag], render_as_source(right))
+        # infix operators associate to the left: a right operand at the
+        # same level needs parentheses
+        pieces += (_INFIX_TEXT[tag], render_as_source(right, _PREC[tag] + 1))
     return "".join(pieces)
 
 
@@ -151,22 +162,17 @@ def _render_operand(node) -> str:
         return f"cbar({arg})"
     if tag == "sigma":
         return f"sigma[{','.join(map(str, arg))}]"
+    # the base of "^" and the operand of "-" are atoms in the grammar
     if tag == "^":
-        return f"{render_as_source(arg)}^{node[2]}"
+        return f"{render_as_source(arg, 4)}^{node[2]}"
     if tag == "neg":
-        return f"-{render_as_source(arg)}"
-    if tag == "()":
-        return f"({render_as_source(arg)})"
+        return f"-{render_as_source(arg, 4)}"
     raise TypeError(f"unknown node {node!r}")
 
 
-# random well-formed ASTs; compound children are always parenthesized so
-# printing then parsing is the identity on trees
+# random well-formed ASTs of any shape; render_as_source puts in the
+# parentheses that printing then parsing needs to be the identity on trees
 def _random_ast(rng, depth):
-    def wrap(node):
-        return node if node[0] in ("num", "c", "cbar", "sigma", "()") \
-            else ("()", node)
-
     if depth == 0:
         kind = rng.randrange(4)
         if kind == 0:
@@ -182,11 +188,11 @@ def _random_ast(rng, depth):
     kind = rng.randrange(5)
     a = _random_ast(rng, depth - 1)
     if kind == 4:
-        return ("^", wrap(a), rng.randint(0, 3))
+        return ("^", a, rng.randint(0, 3))
     if kind == 3:
-        return ("neg", wrap(a))
+        return ("neg", a)
     b = _random_ast(rng, depth - 1)
-    return ("+-*"[kind], wrap(a), wrap(b))
+    return ("+-*"[kind], a, b)
 
 
 def test_round_trip_500_random_trees():

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -103,6 +104,18 @@ class TestDualClasses:
         for k in range(1, 7):
             for i in range(0, 13):
                 assert dual_class_closed(i, k) == dual_class_recursive(i, k)
+
+    def test_recursive_keeps_only_the_last_k_degrees(self):
+        # cbar_600 with k = 2 has 301 terms; every degree below it holds
+        # 14.6 MB together, the last two about 0.2 MB
+        tracemalloc.start()
+        try:
+            got = dual_class_recursive(600, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+        assert got == dual_class_closed(600, 2)
 
     def test_pure_c1_coefficient(self):
         for k in range(1, 5):
