@@ -2,8 +2,6 @@
 `_parse`.  Handlers print results to stdout and raise on failure;
 `run_cli` alone turns an exception into a stderr line and an exit code."""
 
-from __future__ import annotations
-
 import sys
 from math import comb, factorial, prod
 

@@ -19,8 +19,6 @@ validated at evaluation time, not parse time, so a parsed expression can
 be evaluated in several contexts.
 """
 
-from __future__ import annotations
-
 from .freepoly import FreeClass, dual_class_closed, render_free
 from .ring import RingContext, SchurClass, lift, reduce_free
 

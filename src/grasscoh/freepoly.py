@@ -11,12 +11,12 @@ formula; the two must agree (tested, not assumed).
 `closed_coefficient` evaluates the formula on one.
 """
 
-from __future__ import annotations
-
-from types import MappingProxyType
-
 from .partitions import (count_exponent_vectors, exponent_vectors_of_weight,
                          multinomial, size, weight)
+
+
+# the read-only view of a dict, types.MappingProxyType, without importing types
+MappingProxyType = type(type.__dict__)
 
 
 class AmbientMismatch(ValueError):

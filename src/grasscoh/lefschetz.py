@@ -5,12 +5,9 @@ m^i.  Graded endomorphisms killing the degree-one generator are an open
 problem and are deliberately not represented.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
 from math import comb
 
-from .partitions import betti_numbers
+from .partitions import betti_numbers, record
 from .ring import RingContext, SchurClass
 
 
@@ -47,10 +44,12 @@ def lefschetz_number(m: int, ctx: RingContext) -> int:
     return lef
 
 
-class PropositionReport(namedtuple("PropositionReport",
-                                   "cells_checked counterexamples",
-                                   defaults=((),))):
+@record
+class PropositionReport(tuple):
     __slots__ = ()
+
+    def __new__(cls, cells_checked, counterexamples=()):
+        return tuple.__new__(cls, (cells_checked, counterexamples))
 
     @property
     def passed(self) -> bool:
@@ -83,8 +82,13 @@ def in_classified_range(k: int, n: int) -> bool:
     return (k <= 3 and n > k) or (k > 3 and n >= 2 * k * k - k - 1)
 
 
-# status is FPP, NoFPP or OutsideClassifiedRange
-FppVerdict = namedtuple("FppVerdict", "status lefschetz_table")
+@record
+class FppVerdict(tuple):
+    """status is FPP, NoFPP or OutsideClassifiedRange."""
+    __slots__ = ()
+
+    def __new__(cls, status, lefschetz_table):
+        return tuple.__new__(cls, (status, lefschetz_table))
 
 
 def fpp_classification(k: int, n: int, m_range=range(-5, 6)) -> FppVerdict:

@@ -14,13 +14,10 @@ builds cbar_n.  The Case 2(iii)/(iv) magnitudes are one table, checked
 against the same recursion.  `dispatch_case` alone decides the case.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
 from math import isqrt
 
 from .freepoly import closed_coefficient, dual_coefficient
-from .partitions import count_exponent_vectors, weight
+from .partitions import count_exponent_vectors, record, weight
 
 # Cited results the certificates rely on but do not re-derive.
 ASSUME_ADAMS = "GH3-Thm1-Adams"                      # endomorphisms are Adams type
@@ -52,13 +49,18 @@ class HypothesisError(ValueError):
     """The theorem requires 1 < k < n."""
 
 
-# The case of (k, n), its witness monomial and coefficient or its search
-# log, and the assumption tags it rests on.  Immutable; `cert._asdict()`
-# gives the fields by name, and `cli` writes them as text or JSON.
-Certificate = namedtuple(
-    "Certificate", "case_tag k n witness_monomial witness_coefficient "
-                   "search_log assumptions",
-    defaults=(None, None, None, ()))
+@record
+class Certificate(tuple):
+    """The case of (k, n), its witness monomial and coefficient or its
+    search log, and the assumption tags it rests on.  Immutable;
+    `cert._asdict()` gives the fields by name, and `cli` writes them as
+    text or JSON."""
+    __slots__ = ()
+
+    def __new__(cls, case_tag, k, n, witness_monomial=None,
+                witness_coefficient=None, search_log=None, assumptions=()):
+        return tuple.__new__(cls, (case_tag, k, n, witness_monomial,
+                                   witness_coefficient, search_log, assumptions))
 
 
 def dispatch_case(k: int, n: int) -> str:

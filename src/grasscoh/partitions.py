@@ -4,12 +4,64 @@ Exponent vectors are plain tuples of nonnegative ints of length k; the
 monomial they encode is c1^a1 * ... * ck^ak.  Partitions are tuples of
 weakly decreasing positive ints (no trailing zeros).  Everything here is
 exact integer arithmetic.
+
+The package's records (`record`) and unbounded memos (`memo`) are also
+built here, on the C helpers `_operator` and `_functools`, so importing
+the package loads neither `collections` nor `functools`.
 """
 
-from __future__ import annotations
-
-from functools import lru_cache
+import _functools
+import _operator
 from math import comb
+
+
+def record(cls):
+    """Make `cls` a record: a tuple subclass with `__slots__ = ()` whose
+    `__new__` takes the fields, in order, and calls `tuple.__new__`.  Each
+    field becomes a read-only property (a C item getter, as on a
+    namedtuple), and the class gets `_fields`, `_asdict()`, a repr by
+    field name and `__getnewargs__`, which copy and pickle call.  Equality
+    and hash stay the plain tuple's."""
+    code = cls.__new__.__code__
+    cls._fields = code.co_varnames[1:code.co_argcount]
+    for i, name in enumerate(cls._fields):
+        setattr(cls, name, property(_operator.itemgetter(i)))
+    cls._asdict, cls.__repr__, cls.__getnewargs__ = _asdict, _repr, _getnewargs
+    return cls
+
+
+def _asdict(self):
+    return dict(zip(self._fields, self))
+
+
+def _repr(self):
+    fields = ", ".join(f"{name}={value!r}"
+                       for name, value in zip(self._fields, self))
+    return f"{type(self).__name__}({fields})"
+
+
+def _getnewargs(self):
+    return tuple(self)
+
+
+@record
+class CacheInfo(tuple):
+    """A memo's statistics, with the fields of functools.lru_cache's."""
+    __slots__ = ()
+
+    def __new__(cls, hits, misses, maxsize, currsize):
+        return tuple.__new__(cls, (hits, misses, maxsize, currsize))
+
+
+def memo(fn):
+    """`fn` memoised without bound: the C cache object that
+    `functools.lru_cache(maxsize=None)` returns, with its `cache_info()`
+    and `cache_clear()`, built without importing functools."""
+    wrapper = _functools._lru_cache_wrapper(fn, None, False, CacheInfo)
+    for attr in ("__module__", "__name__", "__qualname__", "__doc__"):
+        setattr(wrapper, attr, getattr(fn, attr))
+    wrapper.__wrapped__ = fn
+    return wrapper
 
 
 def weight(alpha) -> int:
@@ -123,7 +175,7 @@ def partitions_in_box(i: int, k: int, n: int):
             return out
 
 
-@lru_cache(maxsize=None)
+@memo
 def _gaussian_binomial(k: int, n: int):
     """Coefficients of the Gaussian binomial [k+n, k]_q, lowest degree
     first: prod_{j=1..k} (1 - q^(n+j)) / (1 - q^j), one exact integer
@@ -142,7 +194,7 @@ def _gaussian_binomial(k: int, n: int):
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
+@memo
 def count_in_box(i: int, k: int, n: int) -> int:
     """Number of partitions of i fitting in the k x n box.
 

@@ -12,15 +12,12 @@ integer (`freepoly.exact`).  The ideal relations are then a testable
 consequence, not an implementation input.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
-from functools import lru_cache
-
 from .freepoly import AmbientMismatch, Combination, FreeClass, render_terms
+from .partitions import memo, record
 
 
-class RingContext(namedtuple("RingContext", "k n")):
+@record
+class RingContext(tuple):
     """Ambient Grassmannian G(k,n): k-planes in C^(k+n).  An immutable
     (k, n) pair; it equals and hashes as the plain tuple."""
     __slots__ = ()
@@ -28,7 +25,7 @@ class RingContext(namedtuple("RingContext", "k n")):
     def __new__(cls, k, n):
         if k < 1 or n < 1:
             raise ValueError("k and n must be positive")
-        return super().__new__(cls, k, n)
+        return tuple.__new__(cls, (k, n))
 
     @property
     def top_partition(self):
@@ -99,7 +96,7 @@ class SchurClass(Combination):
 GrassElement = SchurClass
 
 
-@lru_cache(maxsize=None)
+@memo
 def vertical_strips(parts, size, max_rows, max_part):
     """Partitions obtained from `parts`, a partition in the
     max_rows x max_part box, by adding a vertical strip of `size` boxes
@@ -127,7 +124,7 @@ def vertical_strips(parts, size, max_rows, max_part):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _reduce_monomial(alpha, k, n, start=()):
     """Schur expansion of c^alpha * sigma_start in the k x n box, as a
     tuple of (partition, integer multiplicity) pairs."""

@@ -238,6 +238,19 @@ def run_checked(argv):
     return code, out.getvalue()
 
 
+def run_capped(argv):
+    """Exit code, stdout and stderr of a CLI run in a `python -I -S`
+    subprocess under a 2 GB address-space cap, so a probe whose guard is
+    lost fails instead of allocating what it asks for."""
+    probe = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+             "sys.path.insert(0, sys.argv[1]); "
+             "from grasscoh.cli import run_cli; sys.exit(run_cli(sys.argv[2:]))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC),
+                           *argv], capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
 class TestTotality:
     def test_deep_recursive_dual(self):
         code, out = run_checked(["dual", "--k", "1", "--i", "1500",
@@ -308,7 +321,7 @@ class TestTotality:
         ["eval", "--k", "1000000000", "--n", "1", "c1"],
     ], ids=" ".join)
     def test_refused_past_the_budget(self, argv):
-        code, out, err = run_with_stderr(argv)
+        code, out, err = run_capped(argv)
         assert (code, out) == (cli.EXIT_EVAL, "")
         assert err.startswith("evaluation error: ") and err.count("\n") == 1
         assert "Traceback" not in err
@@ -330,7 +343,7 @@ class TestTotality:
     ], ids=lambda argv: " ".join(argv))
     def test_at_the_budget(self, accepted, refused):
         assert run_checked(accepted)[0] == cli.EXIT_OK
-        code, out, err = run_with_stderr(refused)
+        code, out, err = run_capped(refused)
         assert (code, out, err.count("\n")) == (cli.EXIT_EVAL, "", 1)
 
     def test_both_methods_at_the_dual_budget(self):

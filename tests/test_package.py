@@ -45,6 +45,43 @@ def test_clear_caches_empties_every_memo():
     assert not ring._lifts
 
 
+def test_memo_matches_functools_lru_cache():
+    # the tracer's memo metrics read cache_info(): the package's memo must
+    # count as functools.lru_cache does, call for call, so a change to the
+    # C cache under it fails here instead of moving those metrics
+    import functools
+
+    def boxed(x, y=0):
+        return [x, y]          # a fresh object per miss, so a hit shows
+
+    ours = partitions.memo(boxed)
+    theirs = functools.lru_cache(maxsize=None)(boxed)
+    assert type(ours) is type(theirs) and ours.__wrapped__ is boxed
+
+    def replay(fn):
+        seen = {}
+        steps = []
+        for args in [(3,), (4,), (3,), (3, 1), (3,), (5,), (4,), (3, 1)]:
+            result = fn(*args)
+            hit = args in seen
+            steps.append((result, hit and result is seen[args],
+                          fn.cache_info()._asdict()))
+            seen.setdefault(args, result)
+        return steps
+
+    for _ in range(2):         # the second pass follows a cache_clear()
+        steps = replay(ours)
+        assert steps == replay(theirs)
+        assert [same for _, same, _ in steps] == \
+            [False, False, True, False, True, False, True, True]
+        assert tuple(ours.cache_info()) == tuple(theirs.cache_info()) == \
+            (4, 4, None, 4)
+        ours.cache_clear(), theirs.cache_clear()
+        assert ours.cache_info() == theirs.cache_info() == (0, 0, None, 0)
+    assert partitions.CacheInfo._fields == ("hits", "misses", "maxsize",
+                                            "currsize")
+
+
 def load_tracer():
     """perfbench/tracer.py, imported from its file and never modified."""
     path = ROOT / "perfbench" / "tracer.py"
@@ -85,7 +122,7 @@ def test_tracer_kernel_binding_is_the_called_functions():
 
 
 def test_package_does_not_import_the_tracer_binding():
-    # nor the record machinery: records are namedtuples and plain classes;
+    # nor the record machinery: records are tuple subclasses and plain classes;
     # nor argparse, nor fractions, which only a rational input needs
     modules = ("grasscoh._backend", "grasscoh._kernel_py",
                "dataclasses", "inspect", "typing", "csv", "argparse", "fractions")
@@ -101,10 +138,13 @@ def test_package_does_not_import_the_tracer_binding():
 def test_library_import_loads_no_json(module):
     # the library returns values; only the writers that print JSON, in cli
     # and expr.render, import json, and cli imports os only for a closed
-    # stdout, so a plain import pays for none of json, re, enum and os
+    # stdout, so a plain import pays for none of json, re, enum and os; the
+    # memos and records rest on _functools and _operator, so none of
+    # functools, collections, types, operator or __future__ loads either
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
              f"import {module}; "
-             "print(sorted(m for m in ('json', 're', 'enum', 'os') "
+             "print(sorted(m for m in ('json', 're', 'enum', 'os', "
+             "'functools', 'collections', 'types', 'operator', '__future__') "
              "if m in sys.modules))")
     done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
                           capture_output=True, text=True, timeout=60)

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from grasscoh import ring
 from grasscoh.expr import render
 from grasscoh.freepoly import FreeClass, dual_class_closed, total_chern
-from grasscoh.lefschetz import apply_adams
+from grasscoh.lefschetz import FppVerdict, PropositionReport, apply_adams
 from grasscoh.obstruction import Certificate, nontrivial_intersection_report
-from grasscoh.partitions import partitions_in_box, weight
+from grasscoh.partitions import CacheInfo, partitions_in_box, weight
 from grasscoh.ring import (ContextMismatch, RingContext, SchurClass, act,
                            giambelli, integrate, lift, pairing, reduce_free,
                            schur_mul, vertical_strips)
@@ -419,12 +419,51 @@ def test_value_type_contracts():
 
     cert = Certificate(case_tag="Case1", k=2, n=3, witness_monomial=(3, 0))
     assert (cert.witness_coefficient, cert.search_log) == (None, None)
-    # a plain namedtuple: the fields are all there is, and cli writes them
+    # a plain tuple subclass: the fields are all there is, and cli writes them
     assert Certificate.__bases__ == (tuple,)
     assert cert._asdict() == {"case_tag": "Case1", "k": 2, "n": 3,
                               "witness_monomial": (3, 0),
                               "witness_coefficient": None, "search_log": None,
                               "assumptions": ()}
+
+    # every record: built by position or by name with its defaults, shown
+    # by field name, read-only, and equal and hashed as the plain tuple
+    records = [
+        (RingContext(2, 3), RingContext(n=3, k=2), (2, 3),
+         "RingContext(k=2, n=3)"),
+        (Certificate("Case1", 2, 3, (3, 0)), cert, ("Case1", 2, 3, (3, 0),
+                                                   None, None, ()),
+         "Certificate(case_tag='Case1', k=2, n=3, witness_monomial=(3, 0), "
+         "witness_coefficient=None, search_log=None, assumptions=())"),
+        (PropositionReport(4), PropositionReport(cells_checked=4), (4, ()),
+         "PropositionReport(cells_checked=4, counterexamples=())"),
+        (FppVerdict("FPP", {1: 3}), FppVerdict(lefschetz_table={1: 3},
+                                               status="FPP"),
+         ("FPP", {1: 3}), "FppVerdict(status='FPP', lefschetz_table={1: 3})"),
+        (CacheInfo(1, 2, None, 2),
+         CacheInfo(hits=1, misses=2, maxsize=None, currsize=2),
+         (1, 2, None, 2),
+         "CacheInfo(hits=1, misses=2, maxsize=None, currsize=2)"),
+    ]
+    for by_position, by_name, plain, text in records:
+        cls = type(by_position)
+        assert cls.__bases__ == (tuple,) and type(by_name) is cls
+        assert by_position == by_name == plain and tuple(by_name) == plain
+        assert repr(by_position) == repr(by_name) == text
+        assert by_name._asdict() == dict(zip(cls._fields, plain))
+        assert [getattr(by_name, name) for name in cls._fields] == list(plain)
+        for name in cls._fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(by_name, name, 0)
+        if cls is not FppVerdict:          # its table is a dict
+            assert hash(by_name) == hash(plain)
+    assert PropositionReport(4).passed and not PropositionReport(4, [1]).passed
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(ctx, protocol))
+        assert type(back) is RingContext and back == ctx
+    for back in (copy.copy(ctx), copy.deepcopy(ctx)):
+        assert type(back) is RingContext and back == ctx
+        assert back.top_partition == (3, 3)
 
 
 PROPERTY_RINGS = [(1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (4, 2)]
