@@ -205,6 +205,23 @@ class FreeClass(Combination):
                                           c ** exponent})
         if not self.terms and exponent:    # zero stays zero, at once
             return self
+        if len(self.terms) == 2:
+            # (a x^alpha + b x^beta)^e = sum_j C(e, j) a^j b^(e-j)
+            # x^(j alpha + (e-j) beta): no two j share a monomial, and each
+            # binomial and power of a comes from the one before
+            (alpha, a), (beta, b) = self.terms.items()
+            powers_of_b = [1]
+            for _ in range(exponent):
+                powers_of_b.append(powers_of_b[-1] * b)
+            terms = {}
+            binomial, power_of_a = 1, 1
+            for j in range(exponent + 1):
+                terms[tuple(j * x + (exponent - j) * y
+                            for x, y in zip(alpha, beta))] = \
+                    binomial * power_of_a * powers_of_b[exponent - j]
+                binomial = binomial * (exponent - j) // (j + 1)
+                power_of_a *= a
+            return FreeClass._of(self.k, terms)
         out = FreeClass.one(self.k)
         for _ in range(exponent):
             out = out * self

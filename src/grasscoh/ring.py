@@ -7,8 +7,11 @@ k variables, partitions with a part larger than n vanish in the
 quotient.  `reduce_free(p)` is p acting on sigma_(), and `schur_mul(a, b)`
 is the Giambelli lift of a acting on b.  The lifts are solved from the
 same vertical strips, so one kernel carries reduction, products and
-lifts.  The chains and the lifts are memoised, and integer classes stay
-integer (`freepoly.exact`).  The ideal relations are then a testable
+lifts.  The lifts are memoised, and so is every Pieri chain, one strip
+step on the memoised chain of its prefix: monomials that share their
+high exponents share their chain.  `pairing` reads Poincare duality off
+the coefficients and forms no product.  Integer classes stay integer
+(`freepoly.exact`).  The ideal relations are then a testable
 consequence, not an implementation input.
 """
 
@@ -127,22 +130,48 @@ def vertical_strips(parts, size, max_rows, max_part):
 @memo
 def _reduce_monomial(alpha, k, n, start=()):
     """Schur expansion of c^alpha * sigma_start in the k x n box, as a
-    tuple of (partition, integer multiplicity) pairs."""
-    # read at call time, so a wrapper bound to the module name sees every call
-    strips = vertical_strips
-    current = {start: 1}
-    # process e_i factors in decreasing i: fewer intermediate terms
-    for i in range(k, 0, -1):
-        for _ in range(alpha[i - 1]):
-            nxt = {}
-            for lam, c in current.items():
-                for mu in strips(lam, i, k, n):
-                    nxt[mu] = nxt.get(mu, 0) + c
-            if not nxt:
-                # every chain left the box; the rest of alpha cannot revive it
-                return ()
-            current = nxt
-    return tuple(current.items())
+    tuple of (partition, integer multiplicity) pairs.  The chain applies
+    c_k first and c_1 last, one vertical strip per factor, and each step
+    reads this memo's own entry for its prefix: alpha less one factor of
+    its lowest index.  So monomials that share their high exponents share
+    their chain, and a session's later monomials start from its prefixes.
+    Each factor adds at least one box, so a chain of more factors than
+    the box has free cells is empty at once, and no recursion runs deeper
+    than k*n (`act` bounds it further in large boxes)."""
+    for i, a in enumerate(alpha, 1):
+        if a:
+            break
+    else:
+        return ((start, 1),)
+    if sum(alpha) + sum(start) > k * n:
+        return ()
+    nxt = {}
+    for lam, c in _reduce_monomial(alpha[:i - 1] + (a - 1,) + alpha[i:],
+                                   k, n, start):
+        # read at call time, so a wrapper bound to the module name sees
+        # every call
+        for mu in vertical_strips(lam, i, k, n):
+            nxt[mu] = nxt.get(mu, 0) + c
+    return tuple(nxt.items())
+
+
+# the deepest chain recursion `act` lets a box of more cells run
+_STRIDE = 200
+
+
+def _chain(alpha, k, n, start):
+    """_reduce_monomial(alpha, k, n, start), with its prefixes of _STRIDE,
+    2 _STRIDE, ... factors asked for first, so that each call recurses at
+    most _STRIDE deep; an empty prefix ends the chain at once."""
+    for m in range(_STRIDE, sum(alpha), _STRIDE):
+        # the first m factors of the chain, c_k first
+        prefix = [0] * k
+        for i in range(k - 1, -1, -1):
+            prefix[i] = min(alpha[i], m)
+            m -= prefix[i]
+        if not _reduce_monomial(tuple(prefix), k, n, start):
+            return ()
+    return _reduce_monomial(alpha, k, n, start)
 
 
 def act(p: FreeClass, s: SchurClass) -> SchurClass:
@@ -152,11 +181,14 @@ def act(p: FreeClass, s: SchurClass) -> SchurClass:
     if p.k != ctx.k:
         raise AmbientMismatch(f"polynomial ambient {p.k} != context k {ctx.k}")
     k, n = ctx.k, ctx.n
+    # _reduce_monomial empties a chain of more than k*n factors before it
+    # recurses, so only a box of more than _STRIDE cells needs _chain
+    chain = _chain if k * n > _STRIDE else _reduce_monomial
     terms = {}
     for lam, c in s.terms.items():
         for alpha, coeff in p.terms.items():
             coeff *= c
-            for mu, mult in _reduce_monomial(alpha, k, n, lam):
+            for mu, mult in chain(alpha, k, n, lam):
                 terms[mu] = terms.get(mu, 0) + coeff * mult
     return SchurClass._of(ctx, terms)
 
@@ -227,7 +259,19 @@ def integrate(x: SchurClass):
 
 
 def pairing(x: SchurClass, y: SchurClass):
-    return integrate(schur_mul(x, y))
+    """integrate(x * y) by Poincare duality (Fulton, Young Tableaux, 9.4):
+    sigma_lam * sigma_mu integrates to 1 when mu is the complement of lam
+    in the k x n box and to 0 otherwise, so the pairing is
+    sum_lam x_lam * y_(complement of lam), with no product formed."""
+    x._check(y)
+    k, n = x.context
+    total = 0
+    for lam, c in x.terms.items():
+        # the complement's rows are n less lam's, bottom row first: n for
+        # each row lam lacks, and none for a row of lam that fills the box
+        dual = (n,) * (k - len(lam)) + tuple(n - p for p in lam[::-1] if p < n)
+        total += c * y.terms.get(dual, 0)
+    return total
 
 
 def schur_mul(a: SchurClass, b: SchurClass) -> SchurClass:

@@ -52,6 +52,22 @@ class TestArithmetic:
                 assert base.power(e) == acc, (base, e)
                 acc = acc * base
 
+    def test_binomial_power_matches_repeated_product(self):
+        # two-term bases go by the binomial theorem: seeded monomials, one
+        # of them possibly the unit, with signed and rational coefficients
+        rng = random.Random(34)
+        coeffs = (1, -1, 3, -7, Fraction(1, 2), Fraction(-5, 3))
+        for _ in range(30):
+            k = rng.randint(1, 3)
+            vecs = [v for w in range(4) for v in exponent_vectors_of_weight(w, k)]
+            alpha, beta = rng.sample(vecs, 2)
+            base = FreeClass(k, {alpha: rng.choice(coeffs),
+                                 beta: rng.choice(coeffs)})
+            acc = FreeClass.one(k)
+            for e in range(41):
+                assert base.power(e) == acc, (base, e)
+                acc = acc * base
+
     def test_power_takes_only_int_exponents(self):
         # one-term and many-term bases alike: an inexact exponent would
         # give inexact exponents and coefficients

@@ -1,4 +1,5 @@
 import copy
+import io
 import itertools
 import json
 import pickle
@@ -8,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasscoh import ring
+import grasscoh
+from grasscoh import cli, ring
 from grasscoh.expr import render
 from grasscoh.freepoly import FreeClass, dual_class_closed, total_chern
 from grasscoh.lefschetz import FppVerdict, PropositionReport, apply_adams
@@ -199,6 +201,57 @@ class TestReduce:
                     assert rank(rows) == len(vecs)
 
 
+def naive_chain(alpha, k, n, start):
+    """c^alpha * sigma_start as the loop it replaced: from start, c_k
+    first and c_1 last, one strip step per factor on a dict."""
+    current = {start: 1}
+    for i in range(k, 0, -1):
+        for _ in range(alpha[i - 1]):
+            nxt = {}
+            for lam, c in current.items():
+                for mu in vertical_strips(lam, i, k, n):
+                    nxt[mu] = nxt.get(mu, 0) + c
+            current = nxt
+    return tuple(current.items())
+
+
+@st.composite
+def chains(draw):
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    factors = draw(st.lists(st.integers(1, k), max_size=12))
+    alpha = tuple(factors.count(i) for i in range(1, k + 1))
+    return alpha, k, n, draw(st.sampled_from(box_basis(k, n)))
+
+
+class TestChains:
+    """`_reduce_monomial` steps from its own memoised prefix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(chains(), st.booleans())
+    def test_matches_naive_chain(self, case, cold):
+        alpha, k, n, start = case
+        if cold:
+            grasscoh.clear_caches()
+        assert ring._reduce_monomial(alpha, k, n, start) == \
+            naive_chain(alpha, k, n, start)
+
+    def test_chain_past_the_stride(self):
+        # 700 factors: more than the recursion `act` lets one call run
+        out = io.StringIO()
+        assert cli.run_cli(["eval", "--k", "2", "--n", "700", "c2^700"],
+                           out=out) == 0
+        assert out.getvalue() == "1*c2^700\n= 1*sigma[700,700]\n"
+
+    def test_monomials_share_their_prefixes(self):
+        # walked from sigma_() once per monomial, this reduction makes
+        # 1,643 strip lookups; sharing prefixes brings it to 354
+        p = total_chern(3).power(8)
+        grasscoh.clear_caches()
+        reduce_free(p, RingContext(3, 5))
+        info = vertical_strips.cache_info()
+        assert info.hits + info.misses <= 400
+
+
 class TestGiambelli:
     def test_column_is_generator(self):
         assert giambelli((1, 1), 3) == FreeClass.generator(3, 2)
@@ -339,6 +392,25 @@ class TestRingStructure:
                     for j in range(len(cols)):
                         col = [mat[i][j] for i in range(len(rows))]
                         assert sorted(col) == [0] * (len(rows) - 1) + [1]
+
+    def test_pairing_equals_integrated_product(self):
+        # pairing reads the dual coefficient; the product is the second path
+        rng = random.Random(34)
+        for k, n in [(2, 3), (3, 3), (2, 5), (3, 4)]:
+            ctx = RingContext(k, n)
+            basis = box_basis(k, n)
+            for a in basis:
+                for b in basis:
+                    x, y = sigma(ctx, a), sigma(ctx, b)
+                    assert pairing(x, y) == integrate(schur_mul(x, y)), (a, b)
+            for _ in range(50):
+                x, y = (SchurClass(ctx, {lam: rng.choice([-3, -1, 2, 5,
+                                                          Fraction(1, 3)])
+                                         for lam in rng.sample(basis, 4)})
+                        for _ in range(2))
+                assert pairing(x, y) == integrate(schur_mul(x, y))
+        with pytest.raises(ContextMismatch):
+            pairing(sigma(RingContext(2, 3), ()), sigma(RingContext(3, 2), ()))
 
     def test_reduce_is_ring_hom(self):
         rng = random.Random(7)
