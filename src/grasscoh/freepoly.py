@@ -192,40 +192,39 @@ class FreeClass(Combination):
         return FreeClass._of(self.k, terms)
 
     def power(self, exponent: int):
-        # a float or Fraction exponent would reach the one-term step below
         if not isinstance(exponent, int):
             raise TypeError(f"exponent must be an int, not "
                             f"{type(exponent).__name__}")
         if exponent < 0:
             raise ValueError("negative exponent")
-        if len(self.terms) == 1:
-            # (c * x^alpha)^e = c^e * x^(e*alpha), in one step for any e
-            (alpha, c), = self.terms.items()
-            return FreeClass._of(self.k, {tuple(exponent * a for a in alpha):
-                                          c ** exponent})
-        if not self.terms and exponent:    # zero stays zero, at once
-            return self
-        if len(self.terms) == 2:
-            # (a x^alpha + b x^beta)^e = sum_j C(e, j) a^j b^(e-j)
-            # x^(j alpha + (e-j) beta): no two j share a monomial, and each
-            # binomial and power of a comes from the one before
-            (alpha, a), (beta, b) = self.terms.items()
-            powers_of_b = [1]
-            for _ in range(exponent):
-                powers_of_b.append(powers_of_b[-1] * b)
-            terms = {}
-            binomial, power_of_a = 1, 1
-            for j in range(exponent + 1):
-                terms[tuple(j * x + (exponent - j) * y
-                            for x, y in zip(alpha, beta))] = \
-                    binomial * power_of_a * powers_of_b[exponent - j]
-                binomial = binomial * (exponent - j) // (j + 1)
-                power_of_a *= a
-            return FreeClass._of(self.k, terms)
-        out = FreeClass.one(self.k)
-        for _ in range(exponent):
-            out = out * self
-        return out
+        # the multinomial theorem, one base term c x^alpha at a time:
+        # `partial` maps factors used to {monomial: coefficient}; the term
+        # takes t of the `left` factors with weight C(left, t) c^t, and the
+        # last term all of them (a zero base leaves the unit only at e = 0)
+        partial = {0: {(0,) * self.k: 1}}
+        todo = len(self.terms)
+        for alpha, c in self.terms.items():
+            todo -= 1
+            grown = {}
+            for used, monos in partial.items():
+                left = exponent - used
+                t = 0 if todo else left
+                binomial, power = 1, c ** t
+                shift = tuple(map(t.__mul__, alpha))
+                while True:
+                    into = grown.setdefault(used + t, {})
+                    scale = binomial * power
+                    for mono, coef in monos.items():
+                        key = tuple(map(int.__add__, mono, shift))
+                        into[key] = into.get(key, 0) + coef * scale
+                    if t == left:
+                        break
+                    binomial = binomial * (left - t) // (t + 1)
+                    power *= c
+                    shift = tuple(map(int.__add__, shift, alpha))
+                    t += 1
+            partial = grown
+        return FreeClass._of(self.k, partial.get(exponent, {}))
 
     # -- rendering ----------------------------------------------------
 

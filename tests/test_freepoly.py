@@ -53,20 +53,44 @@ class TestArithmetic:
                 acc = acc * base
 
     def test_binomial_power_matches_repeated_product(self):
-        # two-term bases go by the binomial theorem: seeded monomials, one
-        # of them possibly the unit, with signed and rational coefficients
+        # one multinomial expansion for every base: seeded bases of 0-5
+        # monomials, one of them possibly the unit, with signed and rational
+        # coefficients, plus bases whose products collide and the total class
         rng = random.Random(34)
         coeffs = (1, -1, 3, -7, Fraction(1, 2), Fraction(-5, 3))
-        for _ in range(30):
+        bases = [c(1, 1) + c(1, 1).power(2) + c(1, 1).power(3),
+                 FreeClass.one(2) - c(2, 1) + c(2, 1) * c(2, 1) - c(2, 2),
+                 total_chern(3)]
+        for _ in range(60):
             k = rng.randint(1, 3)
-            vecs = [v for w in range(4) for v in exponent_vectors_of_weight(w, k)]
-            alpha, beta = rng.sample(vecs, 2)
-            base = FreeClass(k, {alpha: rng.choice(coeffs),
-                                 beta: rng.choice(coeffs)})
-            acc = FreeClass.one(k)
-            for e in range(41):
-                assert base.power(e) == acc, (base, e)
+            vecs = [v for w in range(5) for v in exponent_vectors_of_weight(w, k)]
+            bases.append(FreeClass(k, {alpha: rng.choice(coeffs) for alpha
+                                       in rng.sample(vecs, rng.randint(0, 5))}))
+        for base in bases:
+            acc = FreeClass.one(base.k)
+            for e in range(13):
+                power = base.power(e)
+                assert power == acc, (base, e)
+                if all(type(x) is int for x in base.terms.values()):
+                    assert all(type(x) is int for x in power.terms.values())
                 acc = acc * base
+
+    def test_power_forms_no_product(self, monkeypatch):
+        # the expansion builds every coefficient itself: with products
+        # disabled, powers of the total class still equal repeated products
+        expected = []
+        for k, e in ((3, 12), (2, 60)):
+            acc = FreeClass.one(k)
+            for _ in range(e):
+                acc = acc * total_chern(k)
+            expected.append((total_chern(k), e, acc))
+
+        def refuse(self, other):
+            raise AssertionError("power formed a product")
+
+        monkeypatch.setattr(FreeClass, "__mul__", refuse)
+        for base, e, power in expected:
+            assert base.power(e) == power
 
     def test_power_takes_only_int_exponents(self):
         # one-term and many-term bases alike: an inexact exponent would
