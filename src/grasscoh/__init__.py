@@ -29,6 +29,7 @@ def clear_caches():
     for memo in _MEMOS:
         memo.cache_clear()
     ring._lifts.clear()
+    ring._products.clear()
 
 
 def backend_name() -> str:

@@ -4,15 +4,17 @@ One Pieri action, `act(p, s)`, carries both reduction and product: each
 monomial c^alpha of p acts on sigma_lam by iterated vertical strips, with
 two separate prunes: partitions with more than k rows vanish already in
 k variables, partitions with a part larger than n vanish in the
-quotient.  `reduce_free(p)` is p acting on sigma_(), and `schur_mul(a, b)`
-is the Giambelli lift of a acting on b.  The lifts are solved from the
-same vertical strips, so one kernel carries reduction, products and
-lifts.  The lifts are memoised, and so is every Pieri chain, one strip
-step on the memoised chain of its prefix: monomials that share their
-high exponents share their chain.  `pairing` reads Poincare duality off
-the coefficients and forms no product.  Integer classes stay integer
-(`freepoly.exact`).  The ideal relations are then a testable
-consequence, not an implementation input.
+quotient.  `reduce_free(p)` is p acting on sigma_().  `schur_mul(a, b)`
+is the bilinear sum of basis products sigma_lam * sigma_mu, kept in one
+table per context; each is formed once, as the Giambelli lift of the
+operand with the smaller rows x columns acting on the other.  The lifts
+are solved from the same vertical strips, so one kernel carries
+reduction, products and lifts.  The lifts are memoised, and so is every
+Pieri chain, one strip step on the memoised chain of its prefix:
+monomials that share their high exponents share their chain.  `pairing`
+reads Poincare duality off the coefficients and forms no product.
+Integer classes stay integer (`freepoly.exact`).  The ideal relations
+are then a testable consequence, not an implementation input.
 """
 
 from .freepoly import AmbientMismatch, Combination, FreeClass, render_terms
@@ -73,7 +75,8 @@ class SchurClass(Combination):
 
     def sorted_terms(self):
         # lexicographic-descending partition order, per the wire format
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        # the keys are unique, so the pairs sort by partition alone
+        return sorted(self.terms.items(), reverse=True)
 
     def __str__(self):
         return render_terms((f"sigma[{','.join(map(str, lam))}]", c)
@@ -274,7 +277,41 @@ def pairing(x: SchurClass, y: SchurClass):
     return total
 
 
+# the Schur expansion of every basis product sigma_lam * sigma_mu formed
+# so far, one dict per context, keyed by the ordered pair (lam <= mu)
+_products = {}
+
+
+def _basis_product(ctx: RingContext, lam, mu):
+    """sigma_lam * sigma_mu as a tuple of (partition, coefficient) pairs:
+    the Giambelli lift of the operand with the smaller rows x columns
+    acting on the other.  The choice reads only the partitions, so the
+    wider operand is never lifted."""
+    if len(mu) * (mu[0] if mu else 0) < len(lam) * (lam[0] if lam else 0):
+        lam, mu = mu, lam
+    # read at call time, so a wrapper bound to the module name sees
+    # every call
+    return tuple(act(giambelli(lam, ctx.k),
+                     SchurClass._of(ctx, {mu: 1})).terms.items())
+
+
 def schur_mul(a: SchurClass, b: SchurClass) -> SchurClass:
-    """Product on canonical forms: the Giambelli lift of a acting on b."""
+    """Product on canonical forms: the bilinear sum of the basis products
+    sigma_lam * sigma_mu, each formed once per context by
+    `_basis_product` and read from `_products` after that."""
     a._check(b)
-    return act(lift(a), b)
+    ctx = a.context
+    table = _products.get(ctx)
+    if table is None:
+        table = _products[ctx] = {}
+    terms = {}
+    for lam, c in a.terms.items():
+        for mu, d in b.terms.items():
+            key = (lam, mu) if lam <= mu else (mu, lam)
+            entry = table.get(key)
+            if entry is None:
+                entry = table[key] = _basis_product(ctx, *key)
+            c_d = c * d
+            for nu, e in entry:
+                terms[nu] = terms.get(nu, 0) + c_d * e
+    return SchurClass._of(ctx, terms)

@@ -33,16 +33,18 @@ def test_clear_caches_empties_every_memo():
     dual_class_recursive(5, 3)
     partitions.betti_numbers(3, 4)
     ring.giambelli((2, 1), 3)
+    ctx = RingContext(3, 4)
+    ring.schur_mul(ring.SchurClass(ctx, {(2,): 1}), ring.SchurClass(ctx, {(1,): 1}))
     named = {ring._reduce_monomial, partitions.count_in_box,
              partitions._gaussian_binomial, ring.vertical_strips}
     memos = package_memos()
     assert named <= set(memos.values())
     assert all(fn.cache_info().currsize > 0 for fn in named)
-    assert ring._lifts
+    assert ring._lifts and ring._products[ctx]
     grasscoh.clear_caches()
     assert {name: fn.cache_info().currsize for name, fn in memos.items()} == \
         dict.fromkeys(memos, 0)
-    assert not ring._lifts
+    assert not ring._lifts and not ring._products
 
 
 def test_memo_matches_functools_lru_cache():

@@ -647,6 +647,42 @@ class TestSchurFirstElements:
         assert a * b == a.cup(b) == reduce_free(lift(a) * lift(b), ctx)
 
     @settings(max_examples=60, deadline=None)
+    @given(ring_triples())
+    def test_product_table_is_the_lift_of_the_left_operand(self, triple):
+        # the old schur_mul formula, act(lift(a), b), as the oracle: cold,
+        # and then warm with b * a asked for first, so that a * b reads the
+        # entries that b * a left in the table
+        a, b, _ = triple
+        grasscoh.clear_caches()
+        assert schur_mul(a, b) == act(lift(a), b)
+        grasscoh.clear_caches()
+        assert schur_mul(b, a) == act(lift(b), a)
+        assert schur_mul(a, b) == act(lift(a), b)
+
+    def test_product_lifts_the_narrower_operand(self, monkeypatch):
+        # sigma_(24) lifts to 919 free terms in G(8,24); only sigma_(1) is
+        # lifted, and the second order is read from the table
+        grasscoh.clear_caches()
+        ctx = RingContext(8, 24)
+        wide, narrow = sigma(ctx, (24,)), sigma(ctx, (1,))
+        lifted = []
+
+        def recording(lam, k):
+            lifted.append(tuple(lam))
+            return giambelli(lam, k)
+
+        monkeypatch.setattr(ring, "giambelli", recording)
+        want = SchurClass(ctx, {(24, 1): 1})
+        assert schur_mul(wide, narrow) == want
+        assert lifted and (24,) not in lifted
+
+        def refused(p, s):
+            raise AssertionError("act called on a table hit")
+
+        monkeypatch.setattr(ring, "act", refused)
+        assert schur_mul(narrow, wide) == schur_mul(wide, narrow) == want
+
+    @settings(max_examples=60, deadline=None)
     @given(ring_triples(), st.integers(-4, 4))
     def test_adams_is_free_weight_scaling(self, triple, m):
         a = triple[0]
