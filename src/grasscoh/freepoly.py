@@ -200,16 +200,21 @@ class FreeClass(Combination):
         # the multinomial theorem, one base term c x^alpha at a time:
         # `partial` maps factors used to {monomial: coefficient}; the term
         # takes t of the `left` factors with weight C(left, t) c^t, and the
-        # last term all of them (a zero base leaves the unit only at e = 0)
+        # last term all of them (a zero base leaves the unit only at e = 0).
+        # Fewest factors left first, so each bucket's first c^t grows from
+        # the one before
         partial = {0: {(0,) * self.k: 1}}
         todo = len(self.terms)
         for alpha, c in self.terms.items():
             todo -= 1
             grown = {}
-            for used, monos in partial.items():
-                left = exponent - used
+            reach, first = 0, 1                        # first == c ** reach
+            for used in sorted(partial, reverse=True):
+                monos, left = partial[used], exponent - used
                 t = 0 if todo else left
-                binomial, power = 1, c ** t
+                first *= c ** (t - reach)
+                reach = t
+                binomial, power = 1, first
                 shift = tuple(map(t.__mul__, alpha))
                 while True:
                     into = grown.setdefault(used + t, {})

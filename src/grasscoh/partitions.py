@@ -199,13 +199,13 @@ def count_in_box(i: int, k: int, n: int) -> int:
     """Number of partitions of i fitting in the k x n box.
 
     This is the q^i coefficient of the Gaussian binomial [k+n, k]_q, read
-    from the memoised row `_gaussian_binomial(k, n)`, so a whole Betti
-    vector costs one polynomial per (k, n).
+    from the memoised row `_gaussian_binomial(k, n)`.  It is the public
+    lookup of one degree; `betti_numbers` reads the whole row instead.
     """
     row = _gaussian_binomial(k, n)
     return row[i] if 0 <= i < len(row) else 0
 
 
 def betti_numbers(k: int, n: int):
-    """Box partition counts for every degree 0..k*n."""
-    return [count_in_box(i, k, n) for i in range(k * n + 1)]
+    """Box partition counts for every degree 0..k*n: the [k+n, k]_q row."""
+    return list(_gaussian_binomial(k, n))

@@ -140,7 +140,7 @@ def _reduce_monomial(alpha, k, n, start=()):
     their chain, and a session's later monomials start from its prefixes.
     Each factor adds at least one box, so a chain of more factors than
     the box has free cells is empty at once, and no recursion runs deeper
-    than k*n (`act` bounds it further in large boxes)."""
+    than k*n (`_chain`, which `act` calls, bounds it to _STRIDE)."""
     for i, a in enumerate(alpha, 1):
         if a:
             break
@@ -158,14 +158,15 @@ def _reduce_monomial(alpha, k, n, start=()):
     return tuple(nxt.items())
 
 
-# the deepest chain recursion `act` lets a box of more cells run
+# the deepest chain recursion `_chain` lets run
 _STRIDE = 200
 
 
 def _chain(alpha, k, n, start):
     """_reduce_monomial(alpha, k, n, start), with its prefixes of _STRIDE,
     2 _STRIDE, ... factors asked for first, so that each call recurses at
-    most _STRIDE deep; an empty prefix ends the chain at once."""
+    most _STRIDE deep (a shorter chain asks for none); an empty prefix
+    ends the chain at once."""
     for m in range(_STRIDE, sum(alpha), _STRIDE):
         # the first m factors of the chain, c_k first
         prefix = [0] * k
@@ -184,14 +185,11 @@ def act(p: FreeClass, s: SchurClass) -> SchurClass:
     if p.k != ctx.k:
         raise AmbientMismatch(f"polynomial ambient {p.k} != context k {ctx.k}")
     k, n = ctx.k, ctx.n
-    # _reduce_monomial empties a chain of more than k*n factors before it
-    # recurses, so only a box of more than _STRIDE cells needs _chain
-    chain = _chain if k * n > _STRIDE else _reduce_monomial
     terms = {}
     for lam, c in s.terms.items():
         for alpha, coeff in p.terms.items():
             coeff *= c
-            for mu, mult in chain(alpha, k, n, lam):
+            for mu, mult in _chain(alpha, k, n, lam):
                 terms[mu] = terms.get(mu, 0) + coeff * mult
     return SchurClass._of(ctx, terms)
 

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from grasscoh import clear_caches
 from grasscoh.partitions import (_gaussian_binomial, betti_numbers, conjugate,
                                  count_exponent_vectors, count_in_box,
                                  exponent_vectors_of_weight,
@@ -102,6 +103,14 @@ def test_count_symmetry_box_complement():
         for n in range(1, 7):
             b = betti_numbers(k, n)
             assert b == b[::-1]
+
+
+def test_betti_numbers_read_the_gaussian_row():
+    # the whole row at once: no per-degree lookup is made or stored
+    clear_caches()
+    for k, n in [(0, 5), (4, 0), (1, 1), (2, 3), (3, 4), (6, 5), (40, 40)]:
+        assert betti_numbers(k, n) == list(_gaussian_binomial(k, n))
+    assert count_in_box.cache_info().currsize == 0
 
 
 def test_conjugate_examples():
