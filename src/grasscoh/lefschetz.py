@@ -13,8 +13,12 @@ from .ring import RingContext, SchurClass
 
 def apply_adams(x: SchurClass, m: int) -> SchurClass:
     """The degree-m Adams endomorphism: sigma_lam -> m^|lam| sigma_lam."""
-    return SchurClass(x.context, {lam: m ** sum(lam) * c
-                                  for lam, c in x.terms.items()})
+    terms = {lam: m ** sum(lam) * c for lam, c in x.terms.items()}
+    # the keys are x's own, checked when x was built; an int degree keeps
+    # every coefficient exact, any other goes through the checked constructor
+    if type(m) is int:
+        return SchurClass._of(x.context, terms)
+    return SchurClass(x.context, terms)
 
 
 def lefschetz_number(m: int, ctx: RingContext) -> int:

@@ -1,20 +1,25 @@
 """The quotient ring H*(G(k,n); Q) in its Schur basis.
 
-One Pieri action, `act(p, s)`, carries both reduction and product: each
-monomial c^alpha of p acts on sigma_lam by iterated vertical strips, with
-two separate prunes: partitions with more than k rows vanish already in
-k variables, partitions with a part larger than n vanish in the
-quotient.  `reduce_free(p)` is p acting on sigma_().  `schur_mul(a, b)`
-is the bilinear sum of basis products sigma_lam * sigma_mu, kept in one
-table per context; each is formed once, as the Giambelli lift of the
-operand with the smaller rows x columns acting on the other.  The lifts
-are solved from the same vertical strips, so one kernel carries
-reduction, products and lifts.  The lifts are memoised, and so is every
-Pieri chain, one strip step on the memoised chain of its prefix:
-monomials that share their high exponents share their chain.  `pairing`
-reads Poincare duality off the coefficients and forms no product.
-Integer classes stay integer (`freepoly.exact`).  The ideal relations
-are then a testable consequence, not an implementation input.
+One Pieri action, `act(p, s)`, carries reduction: each monomial c^alpha
+of p acts on sigma_lam by iterated vertical strips, with two separate
+prunes: partitions with more than k rows vanish already in k variables,
+partitions with a part larger than n vanish in the quotient.
+`reduce_free(p)` is p acting on sigma_().  Every Pieri chain is
+memoised, one strip step on the memoised chain of its prefix: monomials
+that share their high exponents share their chain.  `giambelli` solves
+the free lift of sigma_lam from the same strips, and memoises it; the
+lifts serve `lift` and, through it, eval's `sigma[...]`.
+
+`schur_mul(a, b)` is the bilinear sum of basis products
+sigma_lam * sigma_mu, kept in one table per context and solved on that
+table by the Giambelli step of the operand with the smaller
+rows x columns, with neither a lift nor a chain: a product vanishes when
+mu does not fit the complement of lam in the box, and that is read off
+at once.  So `act(lift(a), b)`, through lifts and chains, is a second
+path to each product.
+`pairing` reads Poincare duality off the coefficients and forms no
+product.  Integer classes stay integer (`freepoly.exact`).  The ideal
+relations are then a testable consequence, not an implementation input.
 """
 
 from .freepoly import AmbientMismatch, Combination, FreeClass, render_terms
@@ -54,11 +59,20 @@ class SchurClass(Combination):
     @staticmethod
     def _key(context, lam):
         lam = tuple(lam)
-        if any(a < b for a, b in zip(lam, lam[1:])) or (lam and lam[-1] < 1):
-            raise ValueError(f"{list(lam)} is not a partition")
-        if len(lam) > context.k or (lam and lam[0] > context.n):
-            raise ValueError(f"partition {list(lam)} outside the "
-                             f"{context.k}x{context.n} box")
+        if lam:
+            # one pass: `low` ends as the last part, or 0 at the first rise
+            low = lam[0]
+            for part in lam:
+                if low < part:
+                    low = 0
+                    break
+                low = part
+            if low < 1:
+                raise ValueError(f"{list(lam)} is not a partition")
+            k, n = context
+            if len(lam) > k or lam[0] > n:
+                raise ValueError(f"partition {list(lam)} outside the "
+                                 f"{k}x{n} box")
         return lam
 
     def coeff(self, lam):
@@ -199,15 +213,32 @@ def reduce_free(p: FreeClass, ctx: RingContext) -> SchurClass:
     return act(p, SchurClass(ctx, {(): 1}))
 
 
-# the free lift of every sigma_lam solved so far, one dict per k
+def _giambelli_step(nu, k):
+    """The Pieri step that solves sigma_nu, nu a nonempty partition with at
+    most k rows: (rest, others), where rest is nu less its first column and
+    c_h * sigma_rest, h the length of nu, is sigma_nu plus sigma_o for each
+    o in others, the other vertical strips of h boxes on rest.  Every one
+    of them is a partition of at most k rows and parts at most nu[0]."""
+    rest = tuple(p - 1 for p in nu if p > 1)
+    return rest, [mu for mu in vertical_strips(rest, len(nu), k, nu[0])
+                  if mu != nu]
+
+
+def _solve_order(nu):
+    # rest is smaller than nu and nu dominates every other strip, so each
+    # is lexicographically below it: in this order a step's inputs come first
+    return sum(nu), nu
+
+
+# the free lift of every sigma_lam solved so far, one dict per k; only
+# reduction and eval's sigma[...] read them, through `lift`
 _lifts = {}
 
 
 def giambelli(lam, k: int) -> FreeClass:
-    """Free-ring lift of sigma_lam, solved from the Pieri rule: with h the
-    length of lam and rest lam less its first column, c_h * sigma_rest is
-    sigma_lam plus the other vertical strips of h boxes on rest, and lam
-    dominates each of them.  Memoised per k, so the result is shared."""
+    """Free-ring lift of sigma_lam, solved by `_giambelli_step`: the lift of
+    sigma_lam is c_h times the lift of sigma_rest, less the lifts of the
+    others.  Memoised per k, so the result is shared."""
     lam = tuple(lam)
     lifts = _lifts.get(k) or _lifts.setdefault(k, {(): FreeClass.one(k)})
     if lam in lifts:
@@ -215,21 +246,17 @@ def giambelli(lam, k: int) -> FreeClass:
     if len(lam) > k or any(a < b for a, b in zip(lam, lam[1:])) or \
             (lam and lam[-1] < 1):
         raise ValueError(f"{list(lam)} is not a partition with at most {k} rows")
-    # the (rest, other strips) step of every partition not yet lifted
+    # the step of every partition not yet lifted
     steps = {}
     stack = [lam]
     while stack:
         nu = stack.pop()
         if nu in lifts or nu in steps:
             continue
-        rest = tuple(p - 1 for p in nu if p > 1)
-        others = [mu for mu in vertical_strips(rest, len(nu), k, nu[0])
-                  if mu != nu]
-        steps[nu] = rest, others
-        stack += [rest] + others
-    # rest is smaller and every other strip lexicographically below nu,
-    # so each lift is solved before a step reads it
-    for nu in sorted(steps, key=lambda p: (sum(p), p)):
+        rest, others = steps[nu] = _giambelli_step(nu, k)
+        stack.append(rest)
+        stack += others
+    for nu in sorted(steps, key=_solve_order):
         rest, others = steps[nu]
         h = len(nu)
         # c_h times a term raises its h-th exponent by one
@@ -275,28 +302,70 @@ def pairing(x: SchurClass, y: SchurClass):
     return total
 
 
-# the Schur expansion of every basis product sigma_lam * sigma_mu formed
-# so far, one dict per context, keyed by the ordered pair (lam <= mu)
+# the Schur expansion of every basis product sigma_lam * sigma_mu solved
+# so far, with the closures solved on the way, one dict per context, keyed
+# by the ordered pair (lam <= mu)
 _products = {}
 
 
-def _basis_product(ctx: RingContext, lam, mu):
-    """sigma_lam * sigma_mu as a tuple of (partition, coefficient) pairs:
-    the Giambelli lift of the operand with the smaller rows x columns
-    acting on the other.  The choice reads only the partitions, so the
-    wider operand is never lifted."""
+def _solve_products(table, ctx: RingContext, lam, mu):
+    """Enter sigma_lam * sigma_mu into `table`, a context's `_products`, as
+    a tuple of (partition, coefficient) pairs, and return it.  The
+    `_giambelli_step`s of the operand with the smaller rows x columns are
+    walked, on an explicit stack, against the other operand, mu after the
+    swap: sigma_nu * sigma_mu is c_h acting on sigma_rest * sigma_mu, one
+    vertical strip of h boxes in the box, less sigma_o * sigma_mu for the
+    others.  Every pair walked is entered, smaller nu first.  A pair whose
+    product vanishes, as mu does not fit the complement of nu in the box
+    (Fulton, Young Tableaux, 9.4), is entered as () at once and walked no
+    further."""
+    k, n = ctx
     if len(mu) * (mu[0] if mu else 0) < len(lam) * (lam[0] if lam else 0):
         lam, mu = mu, lam
-    # read at call time, so a wrapper bound to the module name sees
-    # every call
-    return tuple(act(giambelli(lam, ctx.k),
-                     SchurClass._of(ctx, {mu: 1})).terms.items())
+    # nu_i + mu_(k+1-i) <= n for every row i: mu reversed, against the rows
+    # of nu from k - len(mu) on
+    skip, flipped = k - len(mu), mu[::-1]
+    steps = {}
+    stack = [lam]
+    while stack:
+        nu = stack.pop()
+        key = (nu, mu) if nu <= mu else (mu, nu)
+        if key in table or nu in steps:
+            continue
+        if not nu:
+            table[key] = ((mu, 1),)
+            continue
+        for p, q in zip(nu[skip:], flipped):
+            if p + q > n:
+                table[key] = ()
+                break
+        else:
+            rest, others = _giambelli_step(nu, k)
+            steps[nu] = key, rest, others
+            stack.append(rest)
+            stack += others
+    for nu in sorted(steps, key=_solve_order):
+        key, rest, others = steps[nu]
+        h = len(nu)
+        terms = {}
+        for kappa, c in table[(rest, mu) if rest <= mu else (mu, rest)]:
+            # read at call time, so a wrapper bound to the module name sees
+            # every call
+            for strip in vertical_strips(kappa, h, k, n):
+                terms[strip] = terms.get(strip, 0) + c
+        for o in others:
+            # every term of sigma_o * sigma_mu is one of the sum's, as
+            # Schur products expand with nonnegative coefficients
+            for kappa, c in table[(o, mu) if o <= mu else (mu, o)]:
+                terms[kappa] -= c
+        table[key] = tuple((kappa, c) for kappa, c in terms.items() if c)
+    return table[(lam, mu) if lam <= mu else (mu, lam)]
 
 
 def schur_mul(a: SchurClass, b: SchurClass) -> SchurClass:
     """Product on canonical forms: the bilinear sum of the basis products
-    sigma_lam * sigma_mu, each formed once per context by
-    `_basis_product` and read from `_products` after that."""
+    sigma_lam * sigma_mu, each solved once per context by
+    `_solve_products` and read from `_products` after that."""
     a._check(b)
     ctx = a.context
     table = _products.get(ctx)
@@ -308,7 +377,7 @@ def schur_mul(a: SchurClass, b: SchurClass) -> SchurClass:
             key = (lam, mu) if lam <= mu else (mu, lam)
             entry = table.get(key)
             if entry is None:
-                entry = table[key] = _basis_product(ctx, *key)
+                entry = _solve_products(table, ctx, *key)
             c_d = c * d
             for nu, e in entry:
                 terms[nu] = terms.get(nu, 0) + c_d * e

@@ -267,7 +267,8 @@ class TestTotality:
     def test_sigma_not_partition(self):
         with pytest.raises(ValueError):
             SchurClass(RingContext(2, 3), {(1, 2): 1})
-        for expression in ("sigma[1,2]", "sigma[1,0,1]", "sigma[4]"):
+        for expression in ("sigma[1,2]", "sigma[1,0,1]", "sigma[4]",
+                           "sigma[1,1,1]", "sigma[4,1]", "sigma[2,3,1]"):
             code, out = run_checked(["eval", "--k", "2", "--n", "3", expression])
             assert (code, out) == (2, "")
 

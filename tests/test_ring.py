@@ -4,6 +4,7 @@ import itertools
 import json
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -454,6 +455,32 @@ class TestSerialization:
         assert [t["partition"] for t in obj] == [[3, 1], [2], [1, 1]]
 
 
+@pytest.mark.parametrize("box, lam, message", [
+    ((2, 2), (3, 1), "partition [3, 1] outside the 2x2 box"),
+    ((2, 3), (1, 1, 1), "partition [1, 1, 1] outside the 2x3 box"),
+    ((3, 3), (3, 3, 3, 1), "partition [3, 3, 3, 1] outside the 3x3 box"),
+    ((4, 4), (5, 5, 1), "partition [5, 5, 1] outside the 4x4 box"),
+    ((2, 3), (4,), "partition [4] outside the 2x3 box"),
+    ((3, 3), (2, 3, 1), "[2, 3, 1] is not a partition"),
+    ((4, 4), (1, 1, 2, 1), "[1, 1, 2, 1] is not a partition"),
+    ((3, 4), (2, 1, 0), "[2, 1, 0] is not a partition"),
+    ((3, 4), (4, 0), "[4, 0] is not a partition"),
+    ((2, 3), (1, 2), "[1, 2] is not a partition"),
+    ((2, 2), (-1,), "[-1] is not a partition"),
+    # the partition check comes first
+    ((2, 2), (1, 3, 3), "[1, 3, 3] is not a partition"),
+])
+def test_keys_are_checked(box, lam, message):
+    ctx = RingContext(*box)
+    with pytest.raises(ValueError) as info:
+        SchurClass(ctx, {(): 1, lam: 1})
+    assert type(info.value) is ValueError and str(info.value) == message
+    # the keys at the edges of the box pass
+    k, n = box
+    for key in ((n,) * k, (n,), (1,) * k, ()):
+        assert SchurClass(ctx, {key: 2}).coeff(key) == 2
+
+
 def test_value_type_contracts():
     ctx = RingContext(2, 3)
     assert repr(ctx) == "RingContext(k=2, n=3)"
@@ -659,28 +686,58 @@ class TestSchurFirstElements:
         assert schur_mul(b, a) == act(lift(b), a)
         assert schur_mul(a, b) == act(lift(a), b)
 
-    def test_product_lifts_the_narrower_operand(self, monkeypatch):
-        # sigma_(24) lifts to 919 free terms in G(8,24); only sigma_(1) is
-        # lifted, and the second order is read from the table
+    def test_product_lifts_nothing(self, monkeypatch):
+        # sigma_(24) lifts to 919 free terms in G(8,24); a product is
+        # solved on the table alone, and the second order reads the first
         grasscoh.clear_caches()
         ctx = RingContext(8, 24)
         wide, narrow = sigma(ctx, (24,)), sigma(ctx, (1,))
-        lifted = []
 
-        def recording(lam, k):
-            lifted.append(tuple(lam))
-            return giambelli(lam, k)
+        def refused(*args):
+            raise AssertionError("a product lifted or acted")
 
-        monkeypatch.setattr(ring, "giambelli", recording)
+        monkeypatch.setattr(ring, "giambelli", refused)
+        monkeypatch.setattr(ring, "act", refused)
         want = SchurClass(ctx, {(24, 1): 1})
         assert schur_mul(wide, narrow) == want
-        assert lifted and (24,) not in lifted
+        assert schur_mul(narrow, wide) == want
+        assert str(schur_mul(narrow, wide)) == "1*sigma[24,1]"
+        assert not ring._lifts
 
-        def refused(p, s):
-            raise AssertionError("act called on a table hit")
+    def test_product_solve_runs_no_recursion(self):
+        # sigma_(30) * sigma_(30) in G(10,30) walks the hooks of sigma_(30)'s
+        # closure on one explicit stack, so 25 frames above this one are
+        # enough (acting with the lift of sigma_(30) took 17-21 s)
+        grasscoh.clear_caches()
+        ctx = RingContext(10, 30)
+        row = sigma(ctx, (30,))
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 25)
+        try:
+            product = schur_mul(row, row)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert str(product) == "1*sigma[30,30]"
 
-        monkeypatch.setattr(ring, "act", refused)
-        assert schur_mul(narrow, wide) == schur_mul(wide, narrow) == want
+    @settings(max_examples=200, deadline=None)
+    @given(basis_pairs())
+    def test_product_vanishes_off_the_complement(self, case):
+        # sigma_lam * sigma_mu is zero exactly when mu does not fit the
+        # complement of lam in the box (Fulton, Young Tableaux, 9.4), and
+        # act(lift(a), b) is the oracle
+        lam, mu, ctx = case
+        k, n = ctx
+        a, b = sigma(ctx, lam), sigma(ctx, mu)
+        rows_l = tuple(lam) + (0,) * (k - len(lam))
+        rows_m = tuple(mu) + (0,) * (k - len(mu))
+        outside = any(p + q > n for p, q in zip(rows_l, reversed(rows_m)))
+        grasscoh.clear_caches()
+        product = schur_mul(a, b)
+        assert product == act(lift(a), b)
+        assert product.is_zero() == outside
 
     @settings(max_examples=60, deadline=None)
     @given(ring_triples(), st.integers(-4, 4))
