@@ -60,15 +60,11 @@ class Combination:
 
     def __init__(self, space, terms=None):
         # the one checked path: `_key(space, key)` raises or returns the key
-        # as a tuple, each coefficient that is not an int goes through
-        # `exact`, zeros are dropped
+        # as a tuple, each coefficient goes through `exact`, zeros are dropped
         clean = {}
         if terms:
-            key_of = self._key
             for key, c in terms.items():
-                key = key_of(space, key)
-                if type(c) is not int:
-                    c = exact(c)
+                key, c = self._key(space, key), exact(c)
                 if c:
                     clean[key] = c
         _set_space(self, space)

@@ -7,18 +7,16 @@ problem and are deliberately not represented.
 
 from math import comb
 
+from .freepoly import exact
 from .partitions import betti_numbers, record
 from .ring import RingContext, SchurClass
 
 
 def apply_adams(x: SchurClass, m: int) -> SchurClass:
     """The degree-m Adams endomorphism: sigma_lam -> m^|lam| sigma_lam."""
-    terms = {lam: m ** sum(lam) * c for lam, c in x.terms.items()}
-    # the keys are x's own, checked when x was built; an int degree keeps
-    # every coefficient exact, any other goes through the checked constructor
-    if type(m) is int:
-        return SchurClass._of(x.context, terms)
-    return SchurClass(x.context, terms)
+    # the keys are x's own, checked when x was built
+    return SchurClass._of(x.context, {lam: exact(m ** sum(lam) * c)
+                                      for lam, c in x.terms.items()})
 
 
 def lefschetz_number(m: int, ctx: RingContext) -> int:

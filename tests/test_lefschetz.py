@@ -1,8 +1,10 @@
 import io
 import random
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grasscoh import lefschetz
@@ -12,7 +14,7 @@ from grasscoh.lefschetz import (apply_adams, fpp_classification,
                                 in_classified_range, lefschetz_number,
                                 proposition_check)
 from grasscoh.partitions import betti_numbers, partitions_in_box
-from grasscoh.ring import RingContext, reduce_free
+from grasscoh.ring import RingContext, SchurClass, reduce_free
 
 
 @lru_cache(maxsize=None)
@@ -43,6 +45,18 @@ class TestApplyAdams:
         ctx = RingContext(3, 4)
         x = reduce_free(FreeClass(3, {(1, 1, 0): 1}), ctx)
         assert apply_adams(x, 2) == x.scale(8)
+
+    def test_coefficients_stay_exact(self):
+        ctx = RingContext(2, 3)
+        x = reduce_free(FreeClass(2, {(2, 1): 3, (0, 1): -1, (0, 0): 5}), ctx)
+        assert all(type(c) is int for c in apply_adams(x, 3).terms.values())
+        # degree 0 keeps the constant term only: the zeros are dropped
+        assert apply_adams(x, 0) == SchurClass(ctx, {(): 5})
+        half = apply_adams(x, 0.5)
+        assert half == apply_adams(x, Fraction(1, 2))
+        assert all(type(c) is Fraction for c in half.terms.values())
+        with pytest.raises(ValueError):
+            apply_adams(x, float("nan"))
 
     def test_ring_endomorphism(self):
         rng = random.Random(99)
