@@ -28,7 +28,6 @@ _MEMOS = (ring.vertical_strips, ring._reduce_monomial,
 def clear_caches():
     for memo in _MEMOS:
         memo.cache_clear()
-    ring._lifts.clear()
     ring._products.clear()
 
 

@@ -1,22 +1,22 @@
 """The quotient ring H*(G(k,n); Q) in its Schur basis.
 
-One Pieri action, `act(p, s)`, carries reduction: each monomial c^alpha
-of p acts on sigma_lam by iterated vertical strips, with two separate
-prunes: partitions with more than k rows vanish already in k variables,
-partitions with a part larger than n vanish in the quotient.
-`reduce_free(p)` is p acting on sigma_().  Every Pieri chain is
-memoised, one strip step on the memoised chain of its prefix: monomials
-that share their high exponents share their chain.  `giambelli` solves
-the free lift of sigma_lam from the same strips, and memoises it; the
-lifts serve `lift` and, through it, eval's `sigma[...]`.
+`reduce_free(p, ctx)` carries reduction: each monomial c^alpha of p
+is a Pieri chain on sigma_(), one vertical strip per factor, with two
+separate prunes: partitions with more than k rows vanish already in k
+variables, partitions with a part larger than n vanish in the quotient.
+Every Pieri chain is memoised, one strip step on the memoised chain of
+its prefix: monomials that share their high exponents share their chain.
+`giambelli` solves the free lift of sigma_lam from the same strips, each
+call on its own; the lifts serve `lift` and, through it, eval's
+`sigma[...]`.
 
 `schur_mul(a, b)` is the bilinear sum of basis products
 sigma_lam * sigma_mu, kept in one table per context and solved on that
 table by the Giambelli step of the operand with the smaller
 rows x columns, with neither a lift nor a chain: a product vanishes when
 mu does not fit the complement of lam in the box, and that is read off
-at once.  So `act(lift(a), b)`, through lifts and chains, is a second
-path to each product.
+at once.  So `reduce_free(lift(a) * lift(b), ctx)`, through lifts and
+chains, is a second path to each product.
 `pairing` reads Poincare duality off the coefficients and forms no
 product.  Integer classes stay integer (`freepoly.exact`).  The ideal
 relations are then a testable consequence, not an implementation input.
@@ -145,26 +145,26 @@ def vertical_strips(parts, size, max_rows, max_part):
 
 
 @memo
-def _reduce_monomial(alpha, k, n, start=()):
-    """Schur expansion of c^alpha * sigma_start in the k x n box, as a
-    tuple of (partition, integer multiplicity) pairs.  The chain applies
-    c_k first and c_1 last, one vertical strip per factor, and each step
-    reads this memo's own entry for its prefix: alpha less one factor of
-    its lowest index.  So monomials that share their high exponents share
-    their chain, and a session's later monomials start from its prefixes.
-    Each factor adds at least one box, so a chain of more factors than
-    the box has free cells is empty at once, and no recursion runs deeper
-    than k*n (`_chain`, which `act` calls, bounds it to _STRIDE)."""
+def _reduce_monomial(alpha, k, n):
+    """Schur expansion of c^alpha in the k x n box, as a tuple of
+    (partition, integer multiplicity) pairs.  The chain applies c_k first
+    and c_1 last, one vertical strip per factor, and each step reads this
+    memo's own entry for its prefix: alpha less one factor of its lowest
+    index.  So monomials that share their high exponents share their
+    chain, and a session's later monomials start from its prefixes.  Each
+    factor adds at least one box, so a chain of more factors than the box
+    has cells is empty at once, and no recursion runs deeper than k*n
+    (`_chain`, which `reduce_free` calls, bounds it to _STRIDE)."""
     for i, a in enumerate(alpha, 1):
         if a:
             break
     else:
-        return ((start, 1),)
-    if sum(alpha) + sum(start) > k * n:
+        return (((), 1),)
+    if sum(alpha) > k * n:
         return ()
     nxt = {}
     for lam, c in _reduce_monomial(alpha[:i - 1] + (a - 1,) + alpha[i:],
-                                   k, n, start):
+                                   k, n):
         # read at call time, so a wrapper bound to the module name sees
         # every call
         for mu in vertical_strips(lam, i, k, n):
@@ -176,8 +176,8 @@ def _reduce_monomial(alpha, k, n, start=()):
 _STRIDE = 200
 
 
-def _chain(alpha, k, n, start):
-    """_reduce_monomial(alpha, k, n, start), with its prefixes of _STRIDE,
+def _chain(alpha, k, n):
+    """_reduce_monomial(alpha, k, n), with its prefixes of _STRIDE,
     2 _STRIDE, ... factors asked for first, so that each call recurses at
     most _STRIDE deep (a shorter chain asks for none); an empty prefix
     ends the chain at once."""
@@ -187,30 +187,22 @@ def _chain(alpha, k, n, start):
         for i in range(k - 1, -1, -1):
             prefix[i] = min(alpha[i], m)
             m -= prefix[i]
-        if not _reduce_monomial(tuple(prefix), k, n, start):
+        if not _reduce_monomial(tuple(prefix), k, n):
             return ()
-    return _reduce_monomial(alpha, k, n, start)
-
-
-def act(p: FreeClass, s: SchurClass) -> SchurClass:
-    """The image of p times s: p applied to s as Pieri operators, c_i
-    adding vertical strips of i boxes."""
-    ctx = s.context
-    if p.k != ctx.k:
-        raise AmbientMismatch(f"polynomial ambient {p.k} != context k {ctx.k}")
-    k, n = ctx.k, ctx.n
-    terms = {}
-    for lam, c in s.terms.items():
-        for alpha, coeff in p.terms.items():
-            coeff *= c
-            for mu, mult in _chain(alpha, k, n, lam):
-                terms[mu] = terms.get(mu, 0) + coeff * mult
-    return SchurClass._of(ctx, terms)
+    return _reduce_monomial(alpha, k, n)
 
 
 def reduce_free(p: FreeClass, ctx: RingContext) -> SchurClass:
-    """Image of a free polynomial in the quotient ring."""
-    return act(p, SchurClass(ctx, {(): 1}))
+    """Image of a free polynomial in the quotient ring: the sum of its
+    monomials' Pieri chains, c_i adding vertical strips of i boxes."""
+    if p.k != ctx.k:
+        raise AmbientMismatch(f"polynomial ambient {p.k} != context k {ctx.k}")
+    k, n = ctx
+    terms = {}
+    for alpha, coeff in p.terms.items():
+        for mu, mult in _chain(alpha, k, n):
+            terms[mu] = terms.get(mu, 0) + coeff * mult
+    return SchurClass._of(ctx, terms)
 
 
 def _giambelli_step(nu, k):
@@ -230,23 +222,16 @@ def _solve_order(nu):
     return sum(nu), nu
 
 
-# the free lift of every sigma_lam solved so far, one dict per k; only
-# reduction and eval's sigma[...] read them, through `lift`
-_lifts = {}
-
-
 def giambelli(lam, k: int) -> FreeClass:
     """Free-ring lift of sigma_lam, solved by `_giambelli_step`: the lift of
     sigma_lam is c_h times the lift of sigma_rest, less the lifts of the
-    others.  Memoised per k, so the result is shared."""
+    others.  Each call solves its own lifts, smaller partitions first."""
     lam = tuple(lam)
-    lifts = _lifts.get(k) or _lifts.setdefault(k, {(): FreeClass.one(k)})
-    if lam in lifts:
-        return lifts[lam]
     if len(lam) > k or any(a < b for a, b in zip(lam, lam[1:])) or \
             (lam and lam[-1] < 1):
         raise ValueError(f"{list(lam)} is not a partition with at most {k} rows")
-    # the step of every partition not yet lifted
+    lifts = {(): FreeClass.one(k)}
+    # the step of every partition this lift needs
     steps = {}
     stack = [lam]
     while stack:
