@@ -112,6 +112,8 @@ class Combination:
         return self._of(self.space, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, factor):
@@ -168,10 +170,7 @@ class FreeClass(Combination):
     # -- queries ------------------------------------------------------
 
     def coeff(self, alpha):
-        if len(alpha) != self.k:
-            raise AmbientMismatch(
-                f"exponent vector length {len(alpha)} != ambient {self.k}")
-        return self.terms.get(tuple(alpha), 0)
+        return self.terms.get(self._key(self.k, alpha), 0)
 
     def homogeneous_component(self, q):
         return FreeClass._of(self.k, {a: c for a, c in self.terms.items()

@@ -6,9 +6,9 @@ separate prunes: partitions with more than k rows vanish already in k
 variables, partitions with a part larger than n vanish in the quotient.
 Every Pieri chain is memoised, one strip step on the memoised chain of
 its prefix: monomials that share their high exponents share their chain.
-`giambelli` solves the free lift of sigma_lam from the same strips, each
-call on its own; the lifts serve `lift` and, through it, eval's
-`sigma[...]`.
+`lift` solves free lifts from the same strips, the Giambelli steps of all
+its terms in one walk, keeping nothing after the call; `giambelli` is the
+lift of one basis class, and eval's `sigma[...]` lifts through `lift`.
 
 `schur_mul(a, b)` is the bilinear sum of basis products
 sigma_lam * sigma_mu, kept in one table per context and solved on that
@@ -223,17 +223,24 @@ def _solve_order(nu):
 
 
 def giambelli(lam, k: int) -> FreeClass:
-    """Free-ring lift of sigma_lam, solved by `_giambelli_step`: the lift of
-    sigma_lam is c_h times the lift of sigma_rest, less the lifts of the
-    others.  Each call solves its own lifts, smaller partitions first."""
+    """Free-ring lift of sigma_lam: the `lift` of the basis class sigma_lam
+    in the narrowest box of k rows that holds lam, whose key check refuses
+    anything but a partition with at most k rows."""
     lam = tuple(lam)
-    if len(lam) > k or any(a < b for a, b in zip(lam, lam[1:])) or \
-            (lam and lam[-1] < 1):
-        raise ValueError(f"{list(lam)} is not a partition with at most {k} rows")
+    return lift(SchurClass(RingContext(k, max((1,) + lam)), {lam: 1}))
+
+
+def lift(s: SchurClass) -> FreeClass:
+    """The free representative sum c * lift(sigma_lam) over the terms of s,
+    solved by `_giambelli_step`: the lift of sigma_nu is c_h times the lift
+    of sigma_rest, less the lifts of the others.  The steps of every term
+    are walked on one explicit stack, each partition once, and solved
+    smaller partitions first into dicts local to the call."""
+    k = s.context.k
     lifts = {(): FreeClass.one(k)}
-    # the step of every partition this lift needs
+    # the step of every partition the terms of s need
     steps = {}
-    stack = [lam]
+    stack = list(s.terms)
     while stack:
         nu = stack.pop()
         if nu in lifts or nu in steps:
@@ -251,16 +258,9 @@ def giambelli(lam, k: int) -> FreeClass:
             for a, c in lifts[mu].terms.items():
                 terms[a] = terms.get(a, 0) - c
         lifts[nu] = FreeClass._of(k, terms)
-    return lifts[lam]
-
-
-def lift(s: SchurClass) -> FreeClass:
-    """The free representative sum c * giambelli(lam) of a Schur class,
-    summed in one dict."""
-    k = s.context.k
     terms = {}
     for lam, c in s.terms.items():
-        for alpha, g in giambelli(lam, k).terms.items():
+        for alpha, g in lifts[lam].terms.items():
             terms[alpha] = terms.get(alpha, 0) + c * g
     return FreeClass._of(k, terms)
 

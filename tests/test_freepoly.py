@@ -12,6 +12,7 @@ from grasscoh.freepoly import (AmbientMismatch, FreeClass, closed_coefficient,
                                dual_class_closed, dual_class_recursive,
                                dual_coefficient, render_free, total_chern)
 from grasscoh.partitions import exponent_vectors_of_weight, weight
+from grasscoh.ring import RingContext, SchurClass
 
 
 def c(k, i):
@@ -126,6 +127,24 @@ class TestArithmetic:
             c(2, 1) + c(3, 1)
         with pytest.raises(AmbientMismatch):
             c(2, 1) * c(3, 1)
+
+    def test_coeff_checks_the_length(self):
+        # the constructor's own key check, with its message
+        with pytest.raises(AmbientMismatch, match="has length 3, expected 2"):
+            c(2, 1).coeff((1, 0, 0))
+        assert c(2, 1).coeff([1, 0]) == 1 and c(2, 1).coeff((0, 1)) == 0
+
+    @pytest.mark.parametrize("left, right", [
+        (c(2, 1), 2),
+        (c(2, 1), "x"),
+        (c(2, 1), SchurClass(RingContext(2, 2), {(1,): 1})),
+        (SchurClass(RingContext(2, 2), {(1,): 1}), c(2, 1)),
+    ], ids=["FreeClass-int", "FreeClass-str", "FreeClass-SchurClass",
+            "SchurClass-FreeClass"])
+    def test_sub_refuses_a_foreign_operand(self, left, right):
+        # as `+` does: the TypeError names the operator the caller used
+        with pytest.raises(TypeError, match="for -:"):
+            left - right
 
 
 class TestDualClasses:

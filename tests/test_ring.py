@@ -315,6 +315,22 @@ class TestGiambelli:
         assert {name: len(v) for name, v in vars(ring).items()
                 if isinstance(v, dict)} == sizes
 
+    def test_lift_steps_each_partition_once(self, monkeypatch):
+        # the four terms share most of their closure in G(8,24): one walk
+        # steps each partition once
+        stepped, step = [], ring._giambelli_step
+
+        def recorder(nu, k):
+            stepped.append(nu)
+            return step(nu, k)
+
+        monkeypatch.setattr(ring, "_giambelli_step", recorder)
+        s = SchurClass(RingContext(8, 24), {(24,): 1, (23, 1): 1, (22, 2): 1,
+                                            (22, 1, 1): 1})
+        lift(s)
+        assert stepped and len(stepped) == len(set(stepped))
+        assert set(s.terms) <= set(stepped)
+
     def test_long_row_in_eight_rows(self):
         ctx = RingContext(8, 24)
         assert reduce_free(giambelli((24,), 8), ctx) == sigma(ctx, (24,))
@@ -625,6 +641,17 @@ class TestMixedCoefficients:
         assert schur_mul(one, a) == a
         assert reduce_free(lift(a), a.context) == a
 
+    @settings(max_examples=60, deadline=None)
+    @given(ring_triples())
+    def test_lift_is_the_sum_of_basis_lifts(self, triple):
+        # giambelli lifts each term in its own narrowest box
+        a = triple[0]
+        k = a.context.k
+        want = FreeClass.zero(k)
+        for lam, c in a.terms.items():
+            want = want + giambelli(lam, k).scale(c)
+        assert lift(a) == want
+
     @settings(max_examples=100, deadline=None)
     @given(basis_pairs())
     def test_degree_additivity(self, case):
@@ -721,6 +748,7 @@ class TestSchurFirstElements:
             raise AssertionError("a product lifted or reduced")
 
         monkeypatch.setattr(ring, "giambelli", refused)
+        monkeypatch.setattr(ring, "lift", refused)
         monkeypatch.setattr(ring, "reduce_free", refused)
         want = SchurClass(ctx, {(24, 1): 1})
         assert schur_mul(wide, narrow) == want
