@@ -9,8 +9,7 @@ from . import backend_name, obstruction
 from .expr import ParseError, eval_expr, parse, render
 from .freepoly import (MAX_DUAL_SIZE, dual_class_closed, dual_class_recursive,
                        render_free)
-from .lefschetz import (fpp_classification, in_classified_range, lefschetz_number,
-                        proposition_check)
+from .lefschetz import fpp_classification, lefschetz_number, proposition_check
 from .partitions import betti_numbers
 from .ring import RingContext
 
@@ -153,7 +152,7 @@ def _cmd_fpp(out, fmt, k_max, n_max, m_range):
     rows = ["k,n,m,lefschetz,kn_parity,in_classified_range,verdict\n"]
     for k, n, verdict in grid:
         parity = "odd" if (k * n) % 2 else "even"
-        in_range = str(in_classified_range(k, n)).lower()
+        in_range = str(verdict.status != "OutsideClassifiedRange").lower()
         for m in m_range:
             rows.append(f"{k},{n},{m},{verdict.lefschetz_table[m]},"
                         f"{parity},{in_range},{verdict.status}\n")
@@ -401,6 +400,9 @@ def run_cli(argv, out=None) -> int:
     # EvalError, HypothesisError and RingContext's range check among them
     except ValueError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
+        return EXIT_EVAL
+    except MemoryError:
+        print("evaluation error: out of memory", file=sys.stderr)
         return EXIT_EVAL
     except AssertionError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)

@@ -76,7 +76,7 @@ class SchurClass(Combination):
         return lam
 
     def coeff(self, lam):
-        return self.terms.get(tuple(lam), 0)
+        return self.terms.get(self._key(self.context, lam), 0)
 
     def cup(self, other):
         return schur_mul(self, other)
@@ -210,16 +210,12 @@ def _giambelli_step(nu, k):
     most k rows: (rest, others), where rest is nu less its first column and
     c_h * sigma_rest, h the length of nu, is sigma_nu plus sigma_o for each
     o in others, the other vertical strips of h boxes on rest.  Every one
-    of them is a partition of at most k rows and parts at most nu[0]."""
+    of them is a partition of at most k rows and parts at most nu[0].
+    Tuple order solves a step after its inputs: rest has a smaller first
+    part than nu, and nu dominates the others, so they sort below it."""
     rest = tuple(p - 1 for p in nu if p > 1)
     return rest, [mu for mu in vertical_strips(rest, len(nu), k, nu[0])
                   if mu != nu]
-
-
-def _solve_order(nu):
-    # rest is smaller than nu and nu dominates every other strip, so each
-    # is lexicographically below it: in this order a step's inputs come first
-    return sum(nu), nu
 
 
 def giambelli(lam, k: int) -> FreeClass:
@@ -235,7 +231,7 @@ def lift(s: SchurClass) -> FreeClass:
     solved by `_giambelli_step`: the lift of sigma_nu is c_h times the lift
     of sigma_rest, less the lifts of the others.  The steps of every term
     are walked on one explicit stack, each partition once, and solved
-    smaller partitions first into dicts local to the call."""
+    in partition order into dicts local to the call."""
     k = s.context.k
     lifts = {(): FreeClass.one(k)}
     # the step of every partition the terms of s need
@@ -248,7 +244,7 @@ def lift(s: SchurClass) -> FreeClass:
         rest, others = steps[nu] = _giambelli_step(nu, k)
         stack.append(rest)
         stack += others
-    for nu in sorted(steps, key=_solve_order):
+    for nu in sorted(steps):
         rest, others = steps[nu]
         h = len(nu)
         # c_h times a term raises its h-th exponent by one
@@ -300,7 +296,7 @@ def _solve_products(table, ctx: RingContext, lam, mu):
     walked, on an explicit stack, against the other operand, mu after the
     swap: sigma_nu * sigma_mu is c_h acting on sigma_rest * sigma_mu, one
     vertical strip of h boxes in the box, less sigma_o * sigma_mu for the
-    others.  Every pair walked is entered, smaller nu first.  A pair whose
+    others.  Every pair walked is entered, in partition order.  A pair whose
     product vanishes, as mu does not fit the complement of nu in the box
     (Fulton, Young Tableaux, 9.4), is entered as () at once and walked no
     further."""
@@ -310,15 +306,13 @@ def _solve_products(table, ctx: RingContext, lam, mu):
     # nu_i + mu_(k+1-i) <= n for every row i: mu reversed, against the rows
     # of nu from k - len(mu) on
     skip, flipped = k - len(mu), mu[::-1]
+    table[((), mu)] = ((mu, 1),)
     steps = {}
     stack = [lam]
     while stack:
         nu = stack.pop()
         key = (nu, mu) if nu <= mu else (mu, nu)
         if key in table or nu in steps:
-            continue
-        if not nu:
-            table[key] = ((mu, 1),)
             continue
         for p, q in zip(nu[skip:], flipped):
             if p + q > n:
@@ -329,7 +323,7 @@ def _solve_products(table, ctx: RingContext, lam, mu):
             steps[nu] = key, rest, others
             stack.append(rest)
             stack += others
-    for nu in sorted(steps, key=_solve_order):
+    for nu in sorted(steps):
         key, rest, others = steps[nu]
         h = len(nu)
         terms = {}

@@ -593,6 +593,16 @@ def test_assertion_is_a_certificate_failure(monkeypatch):
         3, "", "certificate failure: forced\n")
 
 
+def test_out_of_memory_is_an_evaluation_error(monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "eval_expr", exhausted)
+    code, out, err = run_with_stderr(["eval", "--k", "2", "--n", "2", "c1"])
+    assert (code, out, err) == (2, "", "evaluation error: out of memory\n")
+    assert "Traceback" not in err
+
+
 # -- formats: a subcommand prints the --format values its _COMMANDS entry
 # lists, with the bytes it printed before the table listed them --
 

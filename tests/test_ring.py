@@ -300,6 +300,19 @@ class TestGiambelli:
     def test_list_argument(self):
         assert giambelli([2, 1], 3) == giambelli((2, 1), 3)
 
+    # the solvers solve in plain tuple order, so a step's inputs, rest and
+    # the others, must sort below its partition
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(1, 8), min_size=1, max_size=k))))
+    def test_step_inputs_sort_below_it(self, drawn):
+        k, parts = drawn
+        nu = tuple(sorted(parts, reverse=True))
+        rest, others = ring._giambelli_step(nu, k)
+        assert rest < nu
+        for o in others:
+            assert sum(o) == sum(nu) and o < nu
+
     def test_lifts_leave_no_table(self):
         # each lift is solved on its own, so no module-level dict grows
         grasscoh.clear_caches()
@@ -518,6 +531,20 @@ def test_keys_are_checked(box, lam, message):
     k, n = box
     for key in ((n,) * k, (n,), (1,) * k, ()):
         assert SchurClass(ctx, {key: 2}).coeff(key) == 2
+
+
+# coeff checks its key as the constructor does, and finds the term it holds
+@pytest.mark.parametrize("lam, message", [
+    ([2, 0], "[2, 0] is not a partition"),
+    ((0, 2), "[0, 2] is not a partition"),
+    ((4,), "partition [4] outside the 2x3 box"),
+])
+def test_coeff_checks_its_key(lam, message):
+    x = SchurClass(RingContext(2, 3), {(2,): 5})
+    with pytest.raises(ValueError) as info:
+        x.coeff(lam)
+    assert str(info.value) == message
+    assert x.coeff([2]) == 5 and x.coeff((2,)) == 5
 
 
 def test_value_type_contracts():
