@@ -6,7 +6,7 @@ import sys
 from math import comb, factorial, prod
 
 from . import backend_name, obstruction
-from .expr import ParseError, eval_expr, parse, render
+from .expr import ParseError, eval_lines, parse, render
 from .freepoly import (MAX_DUAL_SIZE, dual_class_closed, dual_class_recursive,
                        render_free)
 from .lefschetz import fpp_classification, lefschetz_number, proposition_check
@@ -71,7 +71,8 @@ def _cmd_eval(out, fmt, k, n, expression):
     # every class holds exponent vectors of k ints: dual's budget on k
     if k > MAX_DUAL_SIZE:
         raise ValueError(f"need k <= {MAX_DUAL_SIZE}, got k={k}")
-    print(render(eval_expr(ast, ctx), ctx, fmt), file=out)
+    free, schur = eval_lines(ast, ctx)
+    print(render(free, ctx, fmt, schur), file=out)
 
 
 def _cmd_dual(out, fmt, k, i, method):

@@ -1,5 +1,8 @@
 """Expression language over the ring: lexer, recursive-descent parser,
-evaluator into the free ring Q[c1..ck], renderers.
+evaluator, renderers.  The evaluator walks the tree once and builds both
+lines of `eval`: the value in the free ring Q[c1..ck], and the Schur
+value in H*(G(k,n)), where cbar and sigma atoms are Schur classes at
+once and only subtrees of numbers and c_i atoms are reduced.
 
 Grammar (LL(1), whitespace insensitive):
 
@@ -99,7 +102,7 @@ class _Parser:
         self.depth = 0
 
     def nest(self, tok):
-        # each level costs a few stack frames here and one in eval_expr
+        # each level costs a few stack frames here and one in eval_lines
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(tok[2], f"more than {MAX_NESTING} nested "
@@ -208,45 +211,73 @@ def parse(src: str):
 _INFIX = ("+", "-", "*")
 
 
-def eval_expr(node, ctx: RingContext) -> FreeClass:
+def eval_lines(node, ctx: RingContext):
+    """Both lines of `eval` in one walk: the free value of node, and its
+    Schur value, or None on a subtree of only numbers and c_i atoms
+    ("c-only").  Reduction is a ring map, so the Schur value is built on
+    the tree: cbar and sigma atoms go to their Schur class at once, a
+    c-only side meets the other by `reduce_free` of its free value, and
+    +, -, * and ^ act on SchurClass.  Each node is evaluated once, its
+    free value first, so every EvalError reads as the free line's."""
     # walk the left spine of a binary chain in a loop, so a flat sum or
     # product of any length recurses only into its right operands
     spine = []
     while node[0] in _INFIX:
         spine.append(node)
         node = node[1]
-    acc = _eval_operand(node, ctx)
+    acc, acc_schur = _eval_operand(node, ctx)
     for tag, _, right in reversed(spine):
-        rhs = eval_expr(right, ctx)
-        if tag == "+":
-            acc = acc + rhs
-        elif tag == "-":
-            acc = acc - rhs
-        else:
-            acc = acc * rhs
-    return acc
+        rhs, rhs_schur = eval_lines(right, ctx)
+        if acc_schur is not None or rhs_schur is not None:
+            if acc_schur is None:
+                acc_schur = reduce_free(acc, ctx)
+            elif rhs_schur is None:
+                rhs_schur = reduce_free(rhs, ctx)
+            acc_schur = _combine(tag, acc_schur, rhs_schur)
+        acc = _combine(tag, acc, rhs)
+    return acc, acc_schur
 
 
-def _eval_operand(node, ctx: RingContext) -> FreeClass:
+def eval_expr(node, ctx: RingContext) -> FreeClass:
+    """The free value of node: the first line of `eval_lines`."""
+    return eval_lines(node, ctx)[0]
+
+
+def _combine(tag, a, b):
+    if tag == "+":
+        return a + b
+    if tag == "-":
+        return a - b
+    return a * b
+
+
+def _eval_operand(node, ctx: RingContext):
     tag, arg = node[0], node[1]
     k = ctx.k
     if tag == "num":
-        return FreeClass.one(k).scale(arg)
+        return FreeClass.one(k).scale(arg), None
     if tag == "cbar":
-        return dual_class_closed(arg, k)
-    if tag == "^":
-        return eval_expr(arg, ctx).power(node[2])
-    if tag == "neg":
-        return -eval_expr(arg, ctx)
+        # cbar(i) is (-1)^i sigma_(i), and 0 past n (Fulton, Young
+        # Tableaux, 9.4)
+        free = dual_class_closed(arg, k)
+        terms = {(arg,) if arg else (): (-1) ** arg} if arg <= ctx.n else {}
+        return free, SchurClass._of(ctx, terms)
+    if tag == "^" or tag == "neg":
+        free, schur = eval_lines(arg, ctx)
+        if tag == "neg":
+            return -free, None if schur is None else -schur
+        return (free.power(node[2]),
+                None if schur is None else schur.power(node[2]))
     # the constructors' range and partition checks, as evaluation errors
     try:
         if tag == "c":
-            return FreeClass.generator(k, arg)
+            return FreeClass.generator(k, arg), None
         if tag == "sigma":
             parts = arg
             while parts and parts[-1] == 0:
                 parts = parts[:-1]
-            return lift(SchurClass(ctx, {parts: 1}))
+            schur = SchurClass(ctx, {parts: 1})
+            return lift(schur), schur
     except ValueError as exc:
         raise EvalError(str(exc)) from None
     raise EvalError(f"unknown node {node!r}")
@@ -260,9 +291,12 @@ def wire_coeff(c) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def render(x: FreeClass, ctx: RingContext, fmt: str = "text") -> str:
-    """Render a free polynomial and its Schur expansion in ctx."""
-    reduced = reduce_free(x, ctx)
+def render(x: FreeClass, ctx: RingContext, fmt: str = "text",
+           reduced: SchurClass = None) -> str:
+    """Render a free polynomial and its Schur expansion in ctx: `reduced`
+    when given (`eval_lines`' Schur value), else the reduction of x."""
+    if reduced is None:
+        reduced = reduce_free(x, ctx)
     if fmt == "text":
         return f"{render_free(x)}\n= {reduced}"
     if fmt == "json":

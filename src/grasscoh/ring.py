@@ -9,6 +9,10 @@ its prefix: monomials that share their high exponents share their chain.
 `lift` solves free lifts from the same strips, the Giambelli steps of all
 its terms in one walk, keeping nothing after the call; `giambelli` is the
 lift of one basis class, and eval's `sigma[...]` lifts through `lift`.
+On eval's path `reduce_free` serves only the subtrees of numbers and c_i
+atoms: eval's Schur line takes cbar and sigma atoms as Schur classes at
+once and combines them with `+`, `-`, `schur_mul` and `SchurClass.power`,
+the binomial expansion of a*sigma_() + N, whose N^j vanishes past k*n.
 
 `schur_mul(a, b)` is the bilinear sum of basis products
 sigma_lam * sigma_mu, kept in one table per context and solved on that
@@ -21,6 +25,8 @@ chains, is a second path to each product.
 product.  Integer classes stay integer (`freepoly.exact`).  The ideal
 relations are then a testable consequence, not an implementation input.
 """
+
+from math import comb
 
 from .freepoly import AmbientMismatch, Combination, FreeClass, render_terms
 from .partitions import memo, record
@@ -86,6 +92,31 @@ class SchurClass(Combination):
         if not isinstance(other, SchurClass):
             return NotImplemented
         return schur_mul(self, other)
+
+    def power(self, exponent: int):
+        """self^exponent by the binomial split: self is a*sigma_() + N with
+        no unit term in N, so N^j has degree at least j and vanishes past
+        k*n, and the power is the sum of C(e, j) a^(e-j) N^j over
+        j <= min(e, k*n), which stops sooner once N^j is 0."""
+        if exponent < 0:
+            raise ValueError("negative exponent")
+        ctx = self.context
+        k, n = ctx
+        a = self.terms.get((), 0)
+        nil = SchurClass._of(ctx, {lam: c for lam, c in self.terms.items()
+                                   if lam})
+        last = min(exponent, k * n)
+        # 0^0 is 1, so a zero base still has the unit at e = 0
+        terms, power = {(): a ** exponent}, nil
+        for j in range(1, last + 1):
+            if power.is_zero():
+                break
+            factor = comb(exponent, j) * a ** (exponent - j)
+            for lam, c in power.terms.items():
+                terms[lam] = terms.get(lam, 0) + factor * c
+            if j < last:
+                power = power * nil
+        return SchurClass._of(ctx, terms)
 
     def sorted_terms(self):
         # lexicographic-descending partition order, per the wire format

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasscoh import cli, freepoly, obstruction, partitions, ring
+from grasscoh import cli, expr, freepoly, obstruction, partitions, ring
 from grasscoh.cli import run_cli
 from grasscoh.expr import eval_expr, parse
 from grasscoh.partitions import betti_numbers
@@ -597,10 +597,28 @@ def test_out_of_memory_is_an_evaluation_error(monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "eval_expr", exhausted)
+    # _cmd_eval's first evaluation call: the walk that builds both lines
+    monkeypatch.setattr(cli, "eval_lines", exhausted)
     code, out, err = run_with_stderr(["eval", "--k", "2", "--n", "2", "c1"])
     assert (code, out, err) == (2, "", "evaluation error: out of memory\n")
     assert "Traceback" not in err
+
+
+def test_schur_atoms_are_not_reduced(monkeypatch):
+    # cbar and sigma atoms are Schur classes at once: neither the 38,047
+    # monomials of cbar(46) nor the free square of sigma[24] is reduced
+    small = ["eval", "--k", "3", "--n", "4", "cbar(4)*sigma[2,1]"]
+    before = run(small)
+
+    def refused(p, ctx):
+        raise AssertionError("reduce_free called")
+
+    monkeypatch.setattr(expr, "reduce_free", refused)
+    code, out = run(["eval", "--k", "10", "--n", "10", "cbar(46)"])
+    assert code == 0 and out.endswith("\n= 0\n")
+    code, out = run(["eval", "--k", "8", "--n", "24", "sigma[24]*sigma[24]"])
+    assert code == 0 and out.endswith("\n= 1*sigma[24,24]\n")
+    assert run(small) == before
 
 
 # -- formats: a subcommand prints the --format values its _COMMANDS entry

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasscoh.expr import EvalError, ParseError, eval_expr, parse, render
+from grasscoh.expr import (EvalError, ParseError, eval_expr, eval_lines, parse,
+                           render)
 from grasscoh.freepoly import FreeClass, dual_class_closed
 from grasscoh.ring import RingContext, reduce_free
 
@@ -193,6 +194,55 @@ def _random_ast(rng, depth):
         return ("neg", a)
     b = _random_ast(rng, depth - 1)
     return ("+-*"[kind], a, b)
+
+
+@st.composite
+def boxed_trees(draw):
+    """(ctx, tree): a random AST over G(k,n), k, n <= 4, whose atoms reach
+    just past the box: c_0 and c_(k+1), cbar(i) for i <= n + 2, and sigma
+    keys with too many rows, too large a part or a rise."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    parts = st.lists(st.integers(0, n + 1), max_size=k + 1)
+    atoms = st.one_of(
+        st.tuples(st.just("num"), st.integers(0, 9)
+                  | st.fractions(0, 9, max_denominator=9)),
+        st.tuples(st.just("c"), st.integers(0, k + 1)),
+        st.tuples(st.just("cbar"), st.integers(0, n + 2)),
+        st.tuples(st.just("sigma"),
+                  parts.map(lambda p: tuple(sorted(p, reverse=True)))
+                  | parts.map(tuple)))
+    tree = st.recursive(atoms, lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*"), sub, sub),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("^"), sub, st.integers(0, 3))), max_leaves=6)
+    return RingContext(k, n), draw(tree)
+
+
+def _c_only(node) -> bool:
+    tag = node[0]
+    if tag in ("cbar", "sigma"):
+        return False
+    if tag in ("num", "c"):
+        return True
+    return all(_c_only(arg) for arg in node[1:] if isinstance(arg, tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_trees())
+def test_schur_line_is_the_reduction_of_the_free_line(case):
+    ctx, tree = case
+    try:
+        free, schur = eval_lines(tree, ctx)
+    except EvalError as exc:
+        with pytest.raises(EvalError) as again:
+            eval_expr(tree, ctx)
+        assert str(again.value) == str(exc)
+        return
+    assert free == eval_expr(tree, ctx)
+    # a Schur value exactly where a cbar or sigma atom is below
+    assert (schur is None) == _c_only(tree)
+    reduced = reduce_free(free, ctx)
+    assert (reduced if schur is None else schur) == reduced
 
 
 def test_round_trip_500_random_trees():

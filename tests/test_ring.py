@@ -689,6 +689,18 @@ class TestMixedCoefficients:
         if degree != ctx.k * ctx.n:
             assert integrate(prod) == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(ring_triples(), st.integers(0, 5))
+    def test_power_is_the_repeated_product(self, triple, e):
+        # past k*n the binomial split stops; the oracles do not
+        a = triple[0]
+        want = sigma(a.context, ())
+        for _ in range(e):
+            want = want * a
+        assert a.power(e) == want == reduce_free(lift(a).power(e), a.context)
+        with pytest.raises(ValueError):
+            a.power(-1)
+
     @pytest.mark.parametrize("make", [
         lambda c: FreeClass(2, {(1, 0): c}),
         lambda c: FreeClass.generator(2, 1).scale(c),
@@ -715,6 +727,7 @@ class TestMixedCoefficients:
                 assert all_int(reduce_free(total_chern(k).power(m), ctx).terms)
             basis = box_basis(k, n)
             for a in basis:
+                assert all_int(sigma(ctx, a).scale(-2).power(3).terms)
                 for b in basis:
                     assert all_int(schur_mul(sigma(ctx, a), sigma(ctx, b)).terms)
         for k in range(2, 7):
@@ -732,8 +745,8 @@ class TestMixedCoefficients:
         a, b, _ = triple
         fa, fb = lift(a), lift(b)
         for r in (a + b, a - b, a - a, -a, a.scale(factor), schur_mul(a, b),
-                  fa, fa + fb, fa - fa, -fa, fa.scale(factor), fa * fb,
-                  fa.power(e), reduce_free(fa * fb, a.context)):
+                  a.power(e), fa, fa + fb, fa - fa, -fa, fa.scale(factor),
+                  fa * fb, fa.power(e), reduce_free(fa * fb, a.context)):
             assert type(r)(r.space, dict(r.terms)) == r
             assert all(c != 0 and type(c) in (int, Fraction)
                        for c in r.terms.values())
