@@ -21,8 +21,7 @@ __all__ = [
 ]
 
 # every memo in the package; clear_caches() empties them all
-_MEMOS = (ring.vertical_strips, ring._reduce_monomial,
-          partitions.count_in_box, partitions._gaussian_binomial)
+_MEMOS = (ring.vertical_strips, ring._reduce_monomial, partitions.count_in_box)
 
 
 def clear_caches():

@@ -200,20 +200,19 @@ class FreeClass(Combination):
         # `partial` maps factors used to {monomial: coefficient}; the term
         # takes t of the `left` factors with weight C(left, t) c^t, and the
         # last term all of them (a zero base leaves the unit only at e = 0).
-        # Fewest factors left first, so each bucket's first c^t grows from
-        # the one before
+        # Most factors used first: that fixes the order of the result's
+        # terms, which `schur_mul`'s table work depends on once the power is
+        # reduced (eval's products of reduced powers step about 5 % more
+        # strips with the buckets in insertion order)
         partial = {0: {(0,) * self.k: 1}}
         todo = len(self.terms)
         for alpha, c in self.terms.items():
             todo -= 1
             grown = {}
-            reach, first = 0, 1                        # first == c ** reach
             for used in sorted(partial, reverse=True):
                 monos, left = partial[used], exponent - used
                 t = 0 if todo else left
-                first *= c ** (t - reach)
-                reach = t
-                binomial, power = 1, first
+                binomial, power = 1, c ** t
                 shift = tuple(map(t.__mul__, alpha))
                 while True:
                     into = grown.setdefault(used + t, {})

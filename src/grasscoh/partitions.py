@@ -176,9 +176,21 @@ def partitions_in_box(i: int, k: int, n: int):
 
 
 @memo
-def _gaussian_binomial(k: int, n: int):
-    """Coefficients of the Gaussian binomial [k+n, k]_q, lowest degree
-    first: prod_{j=1..k} (1 - q^(n+j)) / (1 - q^j), one exact integer
+def count_in_box(i: int, k: int, n: int) -> int:
+    """Number of partitions of i fitting in the k x n box.
+
+    This is the q^i coefficient of the Gaussian binomial [k+n, k]_q, read
+    from the row `betti_numbers(k, n)`.  It is the public lookup of one
+    degree; no package path calls it.
+    """
+    row = betti_numbers(k, n)
+    return row[i] if 0 <= i < len(row) else 0
+
+
+def betti_numbers(k: int, n: int):
+    """Box partition counts for every degree 0..k*n: the coefficients of
+    the Gaussian binomial [k+n, k]_q, lowest degree first, as a new list.
+    The row is prod_{j=1..k} (1 - q^(n+j)) / (1 - q^j), one exact integer
     multiplication and one exact division per factor."""
     if k < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
@@ -191,21 +203,4 @@ def _gaussian_binomial(k: int, n: int):
         for d in range(j, len(poly)):                    # over (1 - q^j)
             poly[d] += poly[d - j]
         del poly[len(poly) - j:]
-    return tuple(poly)
-
-
-@memo
-def count_in_box(i: int, k: int, n: int) -> int:
-    """Number of partitions of i fitting in the k x n box.
-
-    This is the q^i coefficient of the Gaussian binomial [k+n, k]_q, read
-    from the memoised row `_gaussian_binomial(k, n)`.  It is the public
-    lookup of one degree; `betti_numbers` reads the whole row instead.
-    """
-    row = _gaussian_binomial(k, n)
-    return row[i] if 0 <= i < len(row) else 0
-
-
-def betti_numbers(k: int, n: int):
-    """Box partition counts for every degree 0..k*n: the [k+n, k]_q row."""
-    return list(_gaussian_binomial(k, n))
+    return poly

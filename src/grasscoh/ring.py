@@ -95,26 +95,27 @@ class SchurClass(Combination):
 
     def power(self, exponent: int):
         """self^exponent by the binomial split: self is a*sigma_() + N with
-        no unit term in N, so N^j has degree at least j and vanishes past
-        k*n, and the power is the sum of C(e, j) a^(e-j) N^j over
-        j <= min(e, k*n), which stops sooner once N^j is 0."""
+        no unit term in N, and the power is the sum of C(e, j) a^(e-j) N^j
+        over j <= e.  The sum stops once N^j is 0, which it is past k*n,
+        since N^j has degree at least j."""
+        if not isinstance(exponent, int):
+            raise TypeError(f"exponent must be an int, not "
+                            f"{type(exponent).__name__}")
         if exponent < 0:
             raise ValueError("negative exponent")
         ctx = self.context
-        k, n = ctx
         a = self.terms.get((), 0)
         nil = SchurClass._of(ctx, {lam: c for lam, c in self.terms.items()
                                    if lam})
-        last = min(exponent, k * n)
         # 0^0 is 1, so a zero base still has the unit at e = 0
         terms, power = {(): a ** exponent}, nil
-        for j in range(1, last + 1):
+        for j in range(1, exponent + 1):
             if power.is_zero():
                 break
             factor = comb(exponent, j) * a ** (exponent - j)
             for lam, c in power.terms.items():
                 terms[lam] = terms.get(lam, 0) + factor * c
-            if j < last:
+            if j < exponent:
                 power = power * nil
         return SchurClass._of(ctx, terms)
 

@@ -36,7 +36,7 @@ def test_clear_caches_empties_every_memo():
     ctx = RingContext(3, 4)
     ring.schur_mul(ring.SchurClass(ctx, {(2,): 1}), ring.SchurClass(ctx, {(1,): 1}))
     named = {ring._reduce_monomial, partitions.count_in_box,
-             partitions._gaussian_binomial, ring.vertical_strips}
+             ring.vertical_strips}
     memos = package_memos()
     assert named <= set(memos.values())
     assert all(fn.cache_info().currsize > 0 for fn in named)
@@ -45,6 +45,21 @@ def test_clear_caches_empties_every_memo():
     assert {name: fn.cache_info().currsize for name, fn in memos.items()} == \
         dict.fromkeys(memos, 0)
     assert not ring._products
+
+
+def test_betti_rows_keep_no_state():
+    # each call computes its row afresh: no memo fills, and a row that the
+    # caller changes is not the next call's row
+    grasscoh.clear_caches()
+    boxes = [(0, 5), (4, 0), (1, 1), (2, 3), (3, 4), (6, 5), (40, 40)]
+    rows = [partitions.betti_numbers(k, n) for k, n in boxes]
+    memos = package_memos()
+    assert {name: fn.cache_info().currsize for name, fn in memos.items()} == \
+        dict.fromkeys(memos, 0)
+    for (k, n), row in zip(boxes, rows):
+        want = row.copy()
+        row[0] += 1
+        assert partitions.betti_numbers(k, n) == want
 
 
 def test_memo_matches_functools_lru_cache():

@@ -4,8 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from grasscoh import clear_caches
-from grasscoh.partitions import (_gaussian_binomial, betti_numbers, conjugate,
+from grasscoh.partitions import (betti_numbers, conjugate,
                                  count_exponent_vectors, count_in_box,
                                  exponent_vectors_of_weight,
                                  multinomial, partitions_in_box, size, weight)
@@ -85,11 +84,11 @@ def test_counts_match_enumeration():
 def test_gaussian_binomial_rows():
     for k in range(31):
         for n in range(31):
-            row = _gaussian_binomial(k, n)
+            row = betti_numbers(k, n)
             assert len(row) == k * n + 1
             assert row == row[::-1]
             assert sum(row) == comb(k + n, k)
-            assert row == _gaussian_binomial(n, k)
+            assert row == betti_numbers(n, k)
 
 
 def test_count_outside_box_is_zero():
@@ -103,14 +102,6 @@ def test_count_symmetry_box_complement():
         for n in range(1, 7):
             b = betti_numbers(k, n)
             assert b == b[::-1]
-
-
-def test_betti_numbers_read_the_gaussian_row():
-    # the whole row at once: no per-degree lookup is made or stored
-    clear_caches()
-    for k, n in [(0, 5), (4, 0), (1, 1), (2, 3), (3, 4), (6, 5), (40, 40)]:
-        assert betti_numbers(k, n) == list(_gaussian_binomial(k, n))
-    assert count_in_box.cache_info().currsize == 0
 
 
 def test_conjugate_examples():

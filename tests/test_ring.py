@@ -700,6 +700,10 @@ class TestMixedCoefficients:
         assert a.power(e) == want == reduce_free(lift(a).power(e), a.context)
         with pytest.raises(ValueError):
             a.power(-1)
+        # an inexact exponent is refused, as FreeClass.power refuses it
+        for bad in (2.5, 2.0, Fraction(2), "2"):
+            with pytest.raises(TypeError):
+                a.power(bad)
 
     @pytest.mark.parametrize("make", [
         lambda c: FreeClass(2, {(1, 0): c}),
