@@ -148,8 +148,10 @@ class _Parser:
         node = self.atom()
         if self.peek()[0] == "^":
             self.advance()
-            exp = self.expect("NAT", "natural number")[1]
-            node = ("^", node, exp)
+            node = ("^", node, self.expect("NAT", "natural number")[1])
+            if self.peek()[0] == "^":
+                raise ParseError(self.peek()[2], "a second '^': a factor takes "
+                                 "one exponent, write (x^m)^n")
         return node
 
     def atom(self):

@@ -199,18 +199,14 @@ class FreeClass(Combination):
         # the multinomial theorem, one base term c x^alpha at a time:
         # `partial` maps factors used to {monomial: coefficient}; the term
         # takes t of the `left` factors with weight C(left, t) c^t, and the
-        # last term all of them (a zero base leaves the unit only at e = 0).
-        # Most factors used first: that fixes the order of the result's
-        # terms, which `schur_mul`'s table work depends on once the power is
-        # reduced (eval's products of reduced powers step about 5 % more
-        # strips with the buckets in insertion order)
+        # last term all of them (a zero base leaves the unit only at e = 0)
         partial = {0: {(0,) * self.k: 1}}
         todo = len(self.terms)
         for alpha, c in self.terms.items():
             todo -= 1
             grown = {}
-            for used in sorted(partial, reverse=True):
-                monos, left = partial[used], exponent - used
+            for used, monos in partial.items():
+                left = exponent - used
                 t = 0 if todo else left
                 binomial, power = 1, c ** t
                 shift = tuple(map(t.__mul__, alpha))

@@ -54,6 +54,17 @@ class TestParse:
         assert exc.value.offset == 3
         assert "natural number" in exc.value.message
 
+    @pytest.mark.parametrize("src, offset", [("2^3^4", 3), ("(c1^2^3)", 5)])
+    def test_error_second_exponent(self, src, offset):
+        # a factor takes one exponent: the second '^' is named, not
+        # expected, and the message points to the parenthesised power
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert exc.value.offset == offset
+        assert exc.value.message == ("a second '^': a factor takes one "
+                                     "exponent, write (x^m)^n")
+        assert parse("(2^3)^4") == ("^", ("^", ("num", 2), 3), 4)
+
     def test_error_trailing_garbage(self):
         with pytest.raises(ParseError) as exc:
             parse("c1 c2")
