@@ -566,9 +566,6 @@ def run_with_stderr(argv):
     (["--format", "csv", "obstruct", "--k", "3", "--n", "5"], 1,
      "usage error: obstruct has no --format csv"),
     (["eval", "--k", "2", "--n", "3", "1+"], 1, "parse error at offset "),
-    (["eval", "--k", "2", "--n", "3", "2^3^4"], 1,
-     "parse error at offset 3: a second '^': a factor takes one exponent, "
-     "write (x^m)^n\n"),
     # RingContext makes the (k, n) check of betti and lefschetz
     (["betti", "--k", "0", "--n", "3"], 2,
      "evaluation error: k and n must be positive"),
@@ -579,6 +576,9 @@ def run_with_stderr(argv):
      "evaluation error: need k >= 1 and i >= 0"),
     (["fpp", "--k-max", "0", "--n-max", "2"], 2,
      "evaluation error: need positive bounds"),
+    (["eval", "--k", "2", "--n", "3", "2^3^4"], 1,
+     "parse error at offset 3: a second '^': a factor takes one exponent, "
+     "write (x^m)^n\n"),
 ])
 def test_error_map(argv, code, prefix):
     got_code, out, err = run_with_stderr(argv)
