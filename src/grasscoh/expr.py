@@ -2,7 +2,8 @@
 evaluator, renderers.  The evaluator walks the tree once and builds both
 lines of `eval`: the value in the free ring Q[c1..ck], and the Schur
 value in H*(G(k,n)), where cbar and sigma atoms are Schur classes at
-once and only subtrees of numbers and c_i atoms are reduced.
+once and only subtrees of numbers and c_i atoms are reduced, or act on
+the Schur value they multiply.
 
 Grammar (LL(1), whitespace insensitive):
 
@@ -23,7 +24,7 @@ be evaluated in several contexts.
 """
 
 from .freepoly import FreeClass, dual_class_closed, render_free
-from .ring import RingContext, SchurClass, lift, reduce_free
+from .ring import RingContext, SchurClass, act, lift, reduce_free
 
 
 # -- AST ---------------------------------------------------------------
@@ -126,7 +127,11 @@ class _Parser:
         node = self.expr()
         tok = self.peek()
         if tok[0] != "EOF":
-            raise ParseError(tok[2], "expected '+', '-', '*', '^' or end of input")
+            # after an exponent a '^' is refused, so it is not named: the
+            # token before an exponent's nat is its '^'
+            caret = "" if self.tokens[self.pos - 2][0] == "^" else ", '^'"
+            raise ParseError(tok[2], f"expected '+', '-', '*'{caret} or end "
+                                     "of input")
         return node
 
     def expr(self):
@@ -218,9 +223,11 @@ def eval_lines(node, ctx: RingContext):
     Schur value, or None on a subtree of only numbers and c_i atoms
     ("c-only").  Reduction is a ring map, so the Schur value is built on
     the tree: cbar and sigma atoms go to their Schur class at once, a
-    c-only side meets the other by `reduce_free` of its free value, and
-    +, -, * and ^ act on SchurClass.  Each node is evaluated once, its
-    free value first, so every EvalError reads as the free line's."""
+    c-only factor acts on the other factor's Schur value by its free
+    value (`act`), a c-only side of + or - meets the other by
+    `reduce_free` of its free value, and +, -, * and ^ act on
+    SchurClass.  Each node is evaluated once, its free value first, so
+    every EvalError reads as the free line's."""
     # walk the left spine of a binary chain in a loop, so a flat sum or
     # product of any length recurses only into its right operands
     spine = []
@@ -230,7 +237,11 @@ def eval_lines(node, ctx: RingContext):
     acc, acc_schur = _eval_operand(node, ctx)
     for tag, _, right in reversed(spine):
         rhs, rhs_schur = eval_lines(right, ctx)
-        if acc_schur is not None or rhs_schur is not None:
+        if tag == "*" and (acc_schur is None) != (rhs_schur is None):
+            # the c-only side acts on the other side's Schur value
+            acc_schur = (act(acc, rhs_schur) if acc_schur is None
+                         else act(rhs, acc_schur))
+        elif acc_schur is not None or rhs_schur is not None:
             if acc_schur is None:
                 acc_schur = reduce_free(acc, ctx)
             elif rhs_schur is None:

@@ -11,6 +11,8 @@ formula; the two must agree (tested, not assumed).
 `closed_coefficient` evaluates the formula on one.
 """
 
+import _operator
+
 from .partitions import (count_exponent_vectors, exponent_vectors_of_weight,
                          multinomial, size, weight)
 
@@ -186,7 +188,7 @@ class FreeClass(Combination):
         terms = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
+                key = tuple(map(_operator.add, a, b))
                 terms[key] = terms.get(key, 0) + ca * cb
         return FreeClass._of(self.k, terms)
 

@@ -66,7 +66,7 @@ def memo(fn):
 
 def weight(alpha) -> int:
     """Graded degree of the monomial: sum of i * a_i."""
-    return sum((i + 1) * a for i, a in enumerate(alpha))
+    return sum(map(_operator.mul, alpha, range(1, len(alpha) + 1)))
 
 
 def size(alpha) -> int:

@@ -9,10 +9,13 @@ its prefix: monomials that share their high exponents share their chain.
 `lift` solves free lifts from the same strips, the Giambelli steps of all
 its terms in one walk, keeping nothing after the call; `giambelli` is the
 lift of one basis class, and eval's `sigma[...]` lifts through `lift`.
-On eval's path `reduce_free` serves only the subtrees of numbers and c_i
-atoms: eval's Schur line takes cbar and sigma atoms as Schur classes at
-once and combines them with `+`, `-`, `schur_mul` and `SchurClass.power`,
-the binomial expansion of a*sigma_() + N, whose N^j vanishes past k*n.
+`act(p, y)` is reduce_free(p, ctx) * y by the same chains, each started
+on the whole of y and kept only for the call, so no product is solved.
+On eval's path `reduce_free` and `act` serve only the subtrees of numbers
+and c_i atoms: eval's Schur line takes cbar and sigma atoms as Schur
+classes at once and combines them with `+`, `-`, `schur_mul` and
+`SchurClass.power`, the binomial expansion of a*sigma_() + N, whose N^j
+vanishes past k*n; a c-only factor acts on the Schur value it multiplies.
 
 `schur_mul(a, b)` is the bilinear sum of basis products
 sigma_lam * sigma_mu, kept in one table per context and solved on that
@@ -235,6 +238,51 @@ def reduce_free(p: FreeClass, ctx: RingContext) -> SchurClass:
     for alpha, coeff in p.terms.items():
         for mu, mult in _chain(alpha, k, n):
             terms[mu] = terms.get(mu, 0) + coeff * mult
+    return SchurClass._of(ctx, terms)
+
+
+def act(p: FreeClass, y: SchurClass) -> SchurClass:
+    """reduce_free(p, ctx) * y, y a class in ctx, with no product solved:
+    each monomial c^alpha of p is its Pieri chain started on the whole of
+    y, c_k first, each step one vertical strip on the chain of its prefix
+    (alpha less one factor of its lowest index), applied to the summed
+    terms of that chain.  The chains live in a dict local to the call,
+    where monomials that share their high exponents share them; unknown
+    prefixes are found on an explicit list, with no recursion.  Each
+    factor adds a box, so a chain of more factors than the box has cells
+    outside the smallest term of y is empty at once."""
+    ctx = y.context
+    if p.k != ctx.k:
+        raise AmbientMismatch(f"polynomial ambient {p.k} != context k {ctx.k}")
+    if not y.terms:
+        return y
+    k, n = ctx
+    room = k * n - min(map(sum, y.terms))
+    chains = {(0,) * k: y.terms}
+    terms = {}
+    for alpha, coeff in p.terms.items():
+        if sum(alpha) > room:
+            continue
+        # alpha and its prefixes down to the first known chain
+        todo = []
+        beta = alpha
+        while beta not in chains:
+            i = 0
+            while not beta[i]:
+                i += 1
+            todo.append((beta, i))
+            beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+        chain = chains[beta]
+        for beta, i in reversed(todo):
+            nxt = {}
+            for lam, c in chain.items():
+                # read at call time, so a wrapper bound to the module name
+                # sees every call
+                for mu in vertical_strips(lam, i + 1, k, n):
+                    nxt[mu] = nxt.get(mu, 0) + c
+            chains[beta] = chain = nxt
+        for mu, c in chain.items():
+            terms[mu] = terms.get(mu, 0) + coeff * c
     return SchurClass._of(ctx, terms)
 
 

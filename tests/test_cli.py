@@ -579,6 +579,8 @@ def run_with_stderr(argv):
     (["eval", "--k", "2", "--n", "3", "2^3^4"], 1,
      "parse error at offset 3: a second '^': a factor takes one exponent, "
      "write (x^m)^n\n"),
+    (["eval", "--k", "2", "--n", "3", "c1^2 c2"], 1,
+     "parse error at offset 5: expected '+', '-', '*' or end of input\n"),
 ])
 def test_error_map(argv, code, prefix):
     got_code, out, err = run_with_stderr(argv)
@@ -754,3 +756,26 @@ def test_cli_argv_fuzz(argv):
     classes = [reduce_free(eval_expr(parse(line), ctx), ctx)
                for line in (free_line, schur_line[2:])]
     assert classes[0] == classes[1]
+
+
+def test_c_only_factor_acts(monkeypatch):
+    # a c-only factor acts on the Schur value it multiplies: the total
+    # class's square is never reduced, and cbar(2)*cbar(3) is the one
+    # product solved on the table
+    argv = ["eval", "--k", "3", "--n", "4", "cbar(2)*cbar(3)*(1+c1+c2+c3)^2"]
+    before = run(argv)
+    products = []
+    schur_mul = ring.schur_mul
+
+    def refused(p, ctx):
+        raise AssertionError("reduce_free called")
+
+    def counted(a, b):
+        products.append((a, b))
+        return schur_mul(a, b)
+
+    monkeypatch.setattr(expr, "reduce_free", refused)
+    monkeypatch.setattr(ring, "reduce_free", refused)
+    monkeypatch.setattr(ring, "schur_mul", counted)
+    assert run(argv) == before
+    assert len(products) == 1

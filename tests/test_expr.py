@@ -70,6 +70,18 @@ class TestParse:
             parse("c1 c2")
         assert exc.value.offset == 3
 
+    @pytest.mark.parametrize("src, offset, message", [
+        ("c1^2 c2", 5, "expected '+', '-', '*' or end of input"),
+        ("(c1^2) c2", 7, "expected '+', '-', '*', '^' or end of input"),
+        ("c1 c2", 3, "expected '+', '-', '*', '^' or end of input"),
+    ])
+    def test_error_names_caret_only_without_exponent(self, src, offset,
+                                                     message):
+        # a factor takes one exponent, so after one '^' is not expected
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert (exc.value.offset, exc.value.message) == (offset, message)
+
     def test_error_zero_denominator(self):
         with pytest.raises(ParseError):
             parse("1/0")

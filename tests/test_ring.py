@@ -895,3 +895,57 @@ class TestSchurFirstElements:
         row = (i,) if i else ()
         want = SchurClass(ctx, {row: (-1) ** i}) if i <= n else SchurClass(ctx)
         assert reduce_free(dual_class_closed(i, k), ctx) == want
+
+
+@st.composite
+def act_cases(draw):
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    ctx = RingContext(k, n)
+    coeffs = st.one_of(
+        st.integers(-6, 6),
+        st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    alphas = st.tuples(*[st.integers(0, 3)] * k)
+    p = FreeClass(k, draw(st.dictionaries(alphas, coeffs, max_size=5)))
+    y = SchurClass(ctx, draw(st.dictionaries(
+        st.sampled_from(box_basis(k, n)), coeffs, max_size=4)))
+    return p, y
+
+
+class TestAct:
+    """`act(p, y)` is reduce_free(p) * y, stepped on the whole of y."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(act_cases(), st.booleans())
+    def test_is_reduced_product(self, case, cold):
+        p, y = case
+        if cold:
+            grasscoh.clear_caches()
+        assert ring.act(p, y) == schur_mul(reduce_free(p, y.context), y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(chains(), st.data())
+    def test_monomial_is_naive_chain(self, case, data):
+        alpha, k, n = case
+        start = data.draw(st.sampled_from(box_basis(k, n)))
+        got = ring.act(FreeClass(k, {alpha: 1}), sigma(RingContext(k, n), start))
+        assert dict(got.terms) == dict(naive_chain(alpha, k, n, start))
+
+    def test_zero_and_full(self):
+        # a zero class stays zero, and a chain longer than the cells left
+        # outside the smallest term is empty with no strip stepped
+        ctx = RingContext(3, 4)
+        p = total_chern(3).power(4)
+        assert ring.act(p, SchurClass(ctx)).is_zero()
+        grasscoh.clear_caches()
+        full = ring.act(FreeClass(3, {(3, 0, 0): 1}), sigma(ctx, (4, 4, 2)))
+        assert full.is_zero()
+        assert vertical_strips.cache_info().misses == 0
+        with pytest.raises(AmbientMismatch):
+            ring.act(FreeClass.generator(2, 1), sigma(ctx, ()))
+
+    def test_long_chain_runs_no_recursion(self):
+        # 100,000 factors of c_1 in G(1, 100000), each prefix found on an
+        # explicit list
+        ctx = RingContext(1, 100000)
+        got = ring.act(FreeClass(1, {(100000,): 1}), sigma(ctx, ()))
+        assert str(got) == "1*sigma[100000]"
