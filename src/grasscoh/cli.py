@@ -9,7 +9,7 @@ from . import backend_name, obstruction
 from .expr import ParseError, eval_lines, parse, render
 from .freepoly import (MAX_DUAL_SIZE, dual_class_closed, dual_class_recursive,
                        render_free)
-from .lefschetz import fpp_classification, lefschetz_number, proposition_check
+from .lefschetz import fpp_grid, lefschetz_number, proposition_check
 from .partitions import betti_numbers
 from .ring import RingContext
 
@@ -140,23 +140,22 @@ def _cmd_fpp(out, fmt, k_max, n_max, m_range):
     if size > _MAX_FPP_DIGITS:
         raise ValueError(f"need the sum of k*n*digits(m) <= {_MAX_FPP_DIGITS}, "
                          f"got {size}")
-    grid = [(k, n, fpp_classification(k, n, m_range))
-            for k in range(1, k_max + 1) for n in range(1, n_max + 1)]
+    grid = fpp_grid(k_max, n_max, m_range)
     if fmt == "json":
         import json
-        print(json.dumps([{"k": k, "n": n, "status": verdict.status,
-                           "lefschetz": {str(m): verdict.lefschetz_table[m]
-                                         for m in m_range}}
-                          for k, n, verdict in grid]), file=out)
+        keys = [(str(m), m) for m in m_range]
+        print(json.dumps([{"k": k, "n": n, "status": status,
+                           "lefschetz": {key: table[m] for key, m in keys}}
+                          for k, n, (status, table) in grid]), file=out)
         return
     # text and csv: one row per (k, n, m), m ascending
     rows = ["k,n,m,lefschetz,kn_parity,in_classified_range,verdict\n"]
-    for k, n, verdict in grid:
+    for k, n, (status, table) in grid:
         parity = "odd" if (k * n) % 2 else "even"
-        in_range = str(verdict.status != "OutsideClassifiedRange").lower()
+        in_range = str(status != "OutsideClassifiedRange").lower()
+        head, tail = f"{k},{n},", f",{parity},{in_range},{status}\n"
         for m in m_range:
-            rows.append(f"{k},{n},{m},{verdict.lefschetz_table[m]},"
-                        f"{parity},{in_range},{verdict.status}\n")
+            rows.append(f"{head}{m},{table[m]}{tail}")
     out.write("".join(rows))
 
 

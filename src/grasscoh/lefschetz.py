@@ -19,6 +19,20 @@ def apply_adams(x: SchurClass, m: int) -> SchurClass:
                                       for lam, c in x.terms.items()})
 
 
+def _gaussian_column(m: int, n: int, k: int):
+    """Yield [n+j, j]_m for j = 1..k, for m not 1 or -1: the partial
+    products of prod_j (m^(n+j) - 1) / (m^j - 1), each from the one before
+    by one exact division, since each is an integer."""
+    lef = 1
+    m_j = 1
+    m_nj = m ** n
+    for _ in range(k):
+        m_j *= m
+        m_nj *= m
+        lef = lef * (m_nj - 1) // (m_j - 1)
+        yield lef
+
+
 def lefschetz_number(m: int, ctx: RingContext) -> int:
     """Exact alternating-trace sum.  All classes are even-dimensional, so
     the trace is sum of m^i * dim H^{2i}: the Gaussian binomial
@@ -29,20 +43,16 @@ def lefschetz_number(m: int, ctx: RingContext) -> int:
     (the q-Lucas theorem at q = -1).  Any other m gives
     prod_{j=1..k} (m^(n+j) - 1) / (m^j - 1), taken over the shorter side
     of the box and divided step by step: each partial product is the
-    integer [n+j, j]_m, so every division is exact.
+    integer [n+j, j]_m, the Lefschetz number of G(j, n), so one column walk
+    gives a whole column of cells (`fpp_grid`).  Only the last is kept.
     """
     k, n = sorted(ctx)
     if m == 1:
         return comb(k + n, k)
     if m == -1:
         return 0 if k % 2 and n % 2 else comb((k + n) // 2, k // 2)
-    lef = 1
-    m_j = 1
-    m_nj = m ** n
-    for _ in range(k):
-        m_j *= m
-        m_nj *= m
-        lef = lef * (m_nj - 1) // (m_j - 1)
+    for lef in _gaussian_column(m, n, k):
+        pass
     return lef
 
 
@@ -93,14 +103,38 @@ class FppVerdict(tuple):
         return tuple.__new__(cls, (status, lefschetz_table))
 
 
+def _verdict(k: int, n: int, table) -> FppVerdict:
+    if not in_classified_range(k, n):
+        return FppVerdict("OutsideClassifiedRange", table)
+    return FppVerdict("FPP" if (k * n) % 2 == 0 else "NoFPP", table)
+
+
 def fpp_classification(k: int, n: int, m_range=range(-5, 6)) -> FppVerdict:
     """Inside the classified range every selfmap induces an Adams
     endomorphism, so the f.p.p. holds exactly when kn is even.  Outside
     that range no verdict is claimed."""
     ctx = RingContext(k, n)
-    table = {m: lefschetz_number(m, ctx) for m in m_range}
-    if not in_classified_range(k, n):
-        return FppVerdict("OutsideClassifiedRange", table)
-    status = "FPP" if (k * n) % 2 == 0 else "NoFPP"
-    return FppVerdict(status, table)
+    return _verdict(k, n, {m: lefschetz_number(m, ctx) for m in m_range})
 
+
+def fpp_grid(k_max: int, n_max: int, m_range) -> list:
+    """`fpp_classification` of every box up to k_max x n_max, as a list of
+    (k, n, verdict), k outer.
+
+    For each n and each m other than 1 and -1, one column walk yields
+    [n+j, j]_m = L(f_m) of G(j, n) for j = 1..k_max, a whole column of
+    cells; the cells with j > n are right too, since [n+j, j]_m =
+    [n+j, n]_m.  m = 1 and m = -1 are taken per cell from their closed
+    forms in `lefschetz_number`.
+    """
+    tables = {(k, n): {} for k in range(1, k_max + 1)
+              for n in range(1, n_max + 1)}
+    for n in range(1, n_max + 1):
+        for m in m_range:
+            if m in (1, -1):
+                for k in range(1, k_max + 1):
+                    tables[k, n][m] = lefschetz_number(m, RingContext(k, n))
+            else:
+                for k, lef in enumerate(_gaussian_column(m, n, k_max), 1):
+                    tables[k, n][m] = lef
+    return [(k, n, _verdict(k, n, table)) for (k, n), table in tables.items()]

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from grasscoh import lefschetz
 from grasscoh.cli import run_cli
 from grasscoh.freepoly import FreeClass
-from grasscoh.lefschetz import (apply_adams, fpp_classification,
+from grasscoh.lefschetz import (apply_adams, fpp_classification, fpp_grid,
                                 in_classified_range, lefschetz_number,
                                 proposition_check)
 from grasscoh.partitions import betti_numbers, partitions_in_box
@@ -188,6 +188,38 @@ class TestFppVerdict:
         verdict = fpp_classification(2, 2, range(-2, 3))
         assert set(verdict.lefschetz_table) == {-2, -1, 0, 1, 2}
         assert verdict.lefschetz_table[1] == 6
+
+
+# degrees 0, +-1, ..., +-10 and one of each sign near 10^30
+DEGREES = st.lists(st.one_of(st.integers(-10, 10),
+                             st.sampled_from([10 ** 30 + 7, -10 ** 30])),
+                   min_size=1, max_size=8, unique=True)
+
+
+class TestGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), DEGREES)
+    @example(1, 12, [0, 1, -1, 2, 10 ** 30 + 7])
+    @example(12, 1, [-10 ** 30, -2, -1, 0])
+    @example(12, 7, list(range(-10, 11)) + [10 ** 30 + 7])
+    @example(5, 12, list(range(-10, 11)) + [-10 ** 30])
+    @example(4, 9, range(0, 1))
+    @example(9, 4, range(0, 1))
+    def test_cells_agree_with_one_cell_api_and_betti_trace(self, k_max, n_max,
+                                                           m_range):
+        grid = fpp_grid(k_max, n_max, m_range)
+        assert [(k, n) for k, n, _ in grid] == \
+            [(k, n) for k in range(1, k_max + 1) for n in range(1, n_max + 1)]
+        for k, n, verdict in grid:
+            assert verdict == fpp_classification(k, n, m_range), (k, n)
+            assert list(verdict.lefschetz_table) == list(m_range)
+            betti = betti_numbers(k, n)
+            for m, lef in verdict.lefschetz_table.items():
+                # sum_i m^i * b_i, by Horner's rule
+                trace = 0
+                for b in reversed(betti):
+                    trace = trace * m + b
+                assert lef == trace, (k, n, m)
 
 
 def sweep_csv(k_max, n_max, m_range="-5:5"):
